@@ -74,5 +74,7 @@ from .pdr import (
     weighted_distance_column,
 )
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, obj in globals().items() if not (name.startswith("_") or isinstance(obj, _ModuleType)))

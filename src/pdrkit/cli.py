@@ -8,7 +8,9 @@ to stderr. Reals render with 12 significant digits so identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 corpus verification found violations, 2 parse or
-input error, 3 disconnected input, 4 numerical failure.
+input error, 3 disconnected input, 4 numerical failure, 5 internal check
+failure (two characterizations that must agree disagreed: a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -42,10 +44,16 @@ from .spectral import (
     local_spectrum,
 )
 from .predistance import build_predistance
-from .pdr import classify, is_pdr_around, verify_graph
+from .pdr import InternalCheckError, classify, is_pdr_around, verify_graph
 
-_EPS_FLAGS = ("eps_group", "eps_mult", "eps_pdr", "eps_walk")
-_ENV_PREFIX = "PDRKIT_EPS_"
+# The ToleranceConfig fields the CLI exposes, with their help texts. Field
+# eps_X is set by --eps-X, falling back to the PDRKIT_EPS_X variable.
+_EXPOSED_TOLERANCES = {
+    "eps_group": "eigenvalue grouping threshold",
+    "eps_mult": "local multiplicity clamp",
+    "eps_pdr": "pseudo-intersection spread threshold",
+    "eps_walk": "walk-count residual threshold",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,8 @@ def _load_graph(args) -> Graph:
 
 def _tolerances(args) -> ToleranceConfig:
     values = {}
-    for name in _EPS_FLAGS:
-        env = os.environ.get(_ENV_PREFIX + name.removeprefix("eps_").upper())
+    for name in _EXPOSED_TOLERANCES:
+        env = os.environ.get("PDRKIT_" + name.upper())
         flag = getattr(args, name)
         if flag is not None:
             values[name] = float(flag)
@@ -181,7 +189,7 @@ def _classification_block(cls) -> dict:
 
 
 def _tolerance_block(tol: ToleranceConfig) -> dict:
-    return {name: getattr(tol, name) for name in _EPS_FLAGS}
+    return {name: getattr(tol, name) for name in _EXPOSED_TOLERANCES}
 
 
 def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
@@ -191,12 +199,11 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     cls = classify(g, tol, dec=dec, reports=reports)
     per_vertex = []
     for r in reports:
-        ls = local_spectrum(dec, r.vertex, tol)
         entry = {
             "vertex": r.vertex,
             "local_degree": r.local_degree,
             "eccentricity": r.eccentricity,
-            "local_mults": [float(m) for m in ls.local_mults],
+            "local_mults": [float(m) for m in r.spectrum.local_mults],
             "is_pdr": r.is_pdr,
         }
         if r.is_pdr:
@@ -332,10 +339,8 @@ def _cmd_verify(args) -> int:
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("tolerances (fall back to PDRKIT_EPS_* environment variables)")
-    group.add_argument("--eps-group", type=float, default=None, help="eigenvalue grouping threshold")
-    group.add_argument("--eps-mult", type=float, default=None, help="local multiplicity clamp")
-    group.add_argument("--eps-pdr", type=float, default=None, help="pseudo-intersection spread threshold")
-    group.add_argument("--eps-walk", type=float, default=None, help="walk-count residual threshold")
+    for name, text in _EXPOSED_TOLERANCES.items():
+        group.add_argument("--" + name.replace("_", "-"), type=float, default=None, help=text)
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
@@ -393,6 +398,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except InternalCheckError as exc:
+        print(f"internal check error: {exc}", file=sys.stderr)
+        return 5
     except (UnsupportedSizeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

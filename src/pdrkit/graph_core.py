@@ -9,6 +9,7 @@ always an error, never a silent per-component analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -107,6 +108,11 @@ class Graph:
     def adjacency_matrix(self, dtype=float) -> np.ndarray:
         """The adjacency as a fresh, writable 0/1 matrix of `dtype`."""
         return self.adjacency.astype(dtype)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """All-pairs hop distances, computed on first use; see :func:`all_pairs_distances`."""
+        return all_pairs_distances(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,32 +223,42 @@ def serialize_graph6(g: Graph) -> str:
 # distances
 
 
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """Read-only n x n matrix of hop distances, -1 for unreachable pairs.
+
+    One breadth-first sweep from every source at once: level d+1 is the set
+    of unseen neighbors of level d. Use ``g.distances``, which computes it
+    once per graph.
+    """
+    A = g.adjacency_matrix()
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    seen = np.eye(g.n, dtype=bool)
+    frontier = seen
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        frontier = (frontier @ A > 0) & ~seen
+        seen |= frontier
+        d += 1
+    dist.setflags(write=False)
+    return dist
+
+
 def bfs(g: Graph, u: int) -> DistanceInfo:
     """Exact hop distances from u and the distance partition around it.
 
-    Raises :class:`ConnectivityError` naming an unreachable vertex when the
-    graph is disconnected.
+    A view of row u of ``g.distances``. Raises :class:`ConnectivityError`
+    naming the lowest vertex unreachable from u when the graph is
+    disconnected.
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range for a graph on {g.n} vertices")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[u] = 0
-    seen = np.zeros(g.n, dtype=bool)
-    seen[u] = True
-    frontier = seen.copy()
-    d = 0
-    while frontier.any():
-        reach = g.adjacency[frontier].any(axis=0)
-        frontier = reach & ~seen
-        d += 1
-        dist[frontier] = d
-        seen |= frontier
-    if not seen.all():
-        v = int(np.nonzero(~seen)[0][0])
+    dist = g.distances[u]
+    if dist.min() < 0:
+        v = int(np.argmin(dist))
         raise ConnectivityError(f"graph is disconnected: vertex {v} is unreachable from {u}", unreachable=v)
     ecc = int(dist.max())
     cells = tuple(np.nonzero(dist == i)[0] for i in range(ecc + 1))
-    dist.setflags(write=False)
     return DistanceInfo(source=u, dist=dist, eccentricity=ecc, cells=cells)
 
 
@@ -252,9 +268,9 @@ def distance_matrices(g: Graph) -> list[np.ndarray]:
     A_0 is the identity pattern, A_1 the adjacency, and the matrices sum to
     the all-ones pattern.
     """
-    dist = np.stack([bfs(g, u).dist for u in range(g.n)])
-    diameter = int(dist.max())
-    return [(dist == i).astype(np.int8) for i in range(diameter + 1)]
+    bfs(g, 0)  # raises ConnectivityError on disconnected input
+    dist = g.distances
+    return [(dist == i).astype(np.int8) for i in range(int(dist.max()) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .graph_core import (
+    ConnectivityError,
     Graph,
-    DistanceInfo,
     bfs,
     bipartition,
     parse_graph6,
@@ -113,9 +113,13 @@ class PdrVertexReport:
     via_polynomials: bool
     extremal: bool
     eccentricity: int
-    local_degree: int
+    spectrum: LocalSpectrum
     quotient: QuotientMatrix | None
     witness: PartitionWitness | None
+
+    @property
+    def local_degree(self) -> int:
+        return self.spectrum.local_degree
 
 
 @dataclass(frozen=True)
@@ -169,17 +173,18 @@ def weighted_distance_column(
     dec: SpectralDecomposition,
     u: int,
     level: int,
-    info: DistanceInfo | None = None,
 ) -> np.ndarray:
     """Column u of the Perron-weighted distance-``level`` matrix.
 
     Entry v is perron[u] * perron[v] when dist(u, v) == level, else 0.
     """
-    if info is None:
-        info = bfs(g, u)
-    if not 0 <= level <= info.eccentricity:
-        raise ValueError(f"level {level} out of range for eccentricity {info.eccentricity}")
-    return np.where(info.dist == level, dec.perron * dec.perron[u], 0.0)
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} out of range for a graph on {g.n} vertices")
+    dist = g.distances[u]
+    ecc = int(dist.max())
+    if not 0 <= level <= ecc:
+        raise ValueError(f"level {level} out of range for eccentricity {ecc}")
+    return np.where(dist == level, dec.perron * dec.perron[u], 0.0)
 
 
 def pseudo_regular_check(
@@ -208,7 +213,7 @@ def pseudo_regular_check(
         member[c, j] = 1.0
     alpha = dec.perron
     flows = (g.adjacency * alpha[None, :]) @ member / alpha[:, None]
-    eps = tol.eps_pdr * max(1.0, dec.spectral_radius)
+    eps = tol.scaled("eps_pdr", dec.spectral_radius)
     for i, cell in enumerate(cells):
         block = flows[cell]
         for j in range(m):
@@ -235,7 +240,6 @@ def is_pdr_around(
     u: int,
     tol: ToleranceConfig = DEFAULT_TOL,
     *,
-    info: DistanceInfo | None = None,
     system: PredistanceSystem | None = None,
 ) -> PdrVertexReport:
     """Decide pseudo-distance-regularity around u by both characterizations.
@@ -244,27 +248,25 @@ def is_pdr_around(
     be extremal (eccentricity equal to local degree) and each orthogonal
     polynomial column must reproduce the weighted distance column for every
     level. The two verdicts must agree or :class:`InternalCheckError` is
-    raised. ``info`` and ``system`` allow reuse of precomputed data.
+    raised. ``system`` allows reuse of a prebuilt predistance system and
+    its local spectrum.
     """
-    if info is None:
-        info = bfs(g, u)
+    info = bfs(g, u)
     quotient, witness = pseudo_regular_check(g, dec, info.cells, tol)
     via_partition = quotient is not None
 
-    ls = local_spectrum(dec, u, tol)
+    ls = local_spectrum(dec, u, tol) if system is None else system.spectrum
     extremal = info.eccentricity == ls.local_degree
     via_polynomials = False
     if extremal:
         if system is None:
             system = build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
-        eps = tol.eps_pdr * max(1.0, dec.spectral_radius)
-        via_polynomials = True
-        for level in range(info.eccentricity + 1):
-            got = apply_poly_column(g, system.polys[level], u)
-            want = weighted_distance_column(g, dec, u, level, info)
-            if float(np.max(np.abs(got - want))) > eps:
-                via_polynomials = False
-                break
+        eps = tol.scaled("eps_pdr", dec.spectral_radius)
+        # Extremal: the polynomial degrees run over exactly the levels 0..ecc.
+        via_polynomials = all(
+            float(np.max(np.abs(apply_poly_column(g, p, u) - weighted_distance_column(g, dec, u, level)))) <= eps
+            for level, p in enumerate(system.polys)
+        )
 
     if via_partition != via_polynomials:
         raise InternalCheckError(
@@ -278,7 +280,7 @@ def is_pdr_around(
         via_polynomials=via_polynomials,
         extremal=extremal,
         eccentricity=info.eccentricity,
-        local_degree=ls.local_degree,
+        spectrum=ls,
         quotient=quotient,
         witness=witness,
     )
@@ -318,33 +320,18 @@ def walk_formula_check(
 def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | None:
     """Exact integer intersection array around u, or None when irregular.
 
-    Counts, for every vertex of each BFS level, its neighbors one level
-    down, on the level, and one level up; returns the array only when the
-    three counts are constant on every level.
+    Counts, for every vertex of each distance level, its neighbors one
+    level down, on the level, and one level up; returns the array only when
+    the three counts are constant on every level.
     """
     info = bfs(g, u)
-    ecc = info.eccentricity
-    down: list[int] = []
-    stay: list[int] = []
-    up: list[int] = []
-    for i, cell in enumerate(info.cells):
-        below = info.dist == i - 1
-        same = info.dist == i
-        above = info.dist == i + 1
-        c_vals = {int((g.adjacency[v] & below).sum()) for v in cell}
-        a_vals = {int((g.adjacency[v] & same).sum()) for v in cell}
-        b_vals = {int((g.adjacency[v] & above).sum()) for v in cell}
-        if len(c_vals) > 1 or len(a_vals) > 1 or len(b_vals) > 1:
-            return None
-        down.append(c_vals.pop())
-        stay.append(a_vals.pop())
-        up.append(b_vals.pop())
-    return IntersectionArray(
-        b=tuple(up[:ecc]),
-        c=tuple(down[1:]),
-        a=tuple(stay),
-        part=None,
-    )
+    step = info.dist[None, :] - info.dist[:, None]  # step[v, w] = dist(u, w) - dist(u, v)
+    counts = np.stack([(g.adjacency & (step == s)).sum(axis=1) for s in (-1, 0, 1)], axis=1)
+    levels = counts[[cell[0] for cell in info.cells]]  # one representative per level
+    if not np.array_equal(counts, levels[info.dist]):
+        return None
+    down, stay, up = map(tuple, levels.T.tolist())
+    return IntersectionArray(b=up[: info.eccentricity], c=down[1:], a=stay, part=None)
 
 
 def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> str:
@@ -387,9 +374,10 @@ def classify(
     vertex as witness. When every vertex passes, a regular graph must be
     distance-regular and anything else must be bipartite biregular and
     distance-biregular; both outcomes are re-verified with the exact
-    integer counting oracle, and the Perron levels are checked against
-    their closed forms. Violations of those guarantees are internal errors,
-    not verdicts.
+    integer counting oracle, the Perron levels are checked against their
+    closed forms, and every vertex's pseudo-intersection numbers must be
+    the Perron-ratio transform of its integer array. Violations of those
+    guarantees are internal errors, not verdicts.
     """
     if dec is None:
         dec = decompose(g, tol)
@@ -409,98 +397,61 @@ def classify(
 
     degrees = g.degrees
     alpha = dec.perron
-    eps_pdr = tol.eps_pdr * max(1.0, dec.spectral_radius)
     arrays = [combinatorial_intersection_array(g, u) for u in range(g.n)]
 
+    # The Perron levels use eps_alpha unscaled: the Perron vector has squared
+    # norm n whatever the spectral radius, so its entries do not grow with it.
     if degrees.min() == degrees.max():
         if any(a is None for a in arrays) or len(set(arrays)) != 1:
             raise InternalCheckError("all-PDR regular graph failed the integer distance-regularity oracle")
         if wreg != WALK_REGULAR:
             raise InternalCheckError("distance-regular graph is not walk-regular")
-        common = arrays[0]
-        _check_pseudo_matches_integer(reports, common, eps_pdr)
         level = _alpha_level(alpha, np.arange(g.n), tol.eps_alpha, "a regular graph")
         if abs(level - 1.0) > tol.eps_alpha:
             raise InternalCheckError("regular graph must have unit Perron entries")
-        return Classification(
-            verdict=VERDICT_DISTANCE_REGULAR,
-            intersection_arrays=(common,),
-            alpha_levels=(level,),
-            witness=None,
-            walk_regularity=wreg,
-        )
+        verdict, verdict_arrays, levels = VERDICT_DISTANCE_REGULAR, (arrays[0],), [level]
+    else:
+        bp = bipartition(g)
+        if bp is None or not bp.biregular:
+            raise InternalCheckError("all-PDR non-regular graph must be bipartite biregular")
+        if wreg != WALK_BIREGULAR:
+            raise InternalCheckError("distance-biregular graph is not walk-biregular")
+        part_arrays = []
+        for pidx, part in enumerate(bp.parts):
+            cand = {arrays[int(v)] for v in part}
+            if None in cand or len(cand) != 1:
+                raise InternalCheckError(f"part {pidx} of an all-PDR biregular graph has unequal intersection arrays")
+            arr = cand.pop()
+            part_arrays.append(IntersectionArray(b=arr.b, c=arr.c, a=arr.a, part=pidx))
+        d1, d2 = bp.part_degrees
+        levels = []
+        for pidx, (part, mine, other) in enumerate(zip(bp.parts, (d1, d2), (d2, d1))):
+            level = _alpha_level(alpha, part, tol.eps_alpha, f"part {pidx}")
+            expected = float(np.sqrt((d1 + d2) / (2.0 * other)))
+            if abs(level - expected) > tol.eps_alpha:
+                raise InternalCheckError(
+                    f"Perron level {level} on part {pidx} (degree {mine}) deviates from its closed form {expected}"
+                )
+            levels.append(level)
+        verdict, verdict_arrays = VERDICT_DISTANCE_BIREGULAR, tuple(part_arrays)
 
-    bp = bipartition(g)
-    if bp is None or not bp.biregular:
-        raise InternalCheckError("all-PDR non-regular graph must be bipartite biregular")
-    if wreg != WALK_BIREGULAR:
-        raise InternalCheckError("distance-biregular graph is not walk-biregular")
-    part_arrays = []
-    for pidx, part in enumerate(bp.parts):
-        cand = {arrays[int(v)] for v in part}
-        if None in cand or len(cand) != 1:
-            raise InternalCheckError(f"part {pidx} of an all-PDR biregular graph has unequal intersection arrays")
-        arr = cand.pop()
-        part_arrays.append(IntersectionArray(b=arr.b, c=arr.c, a=arr.a, part=pidx))
-    d1, d2 = bp.part_degrees
-    levels = []
-    for pidx, (part, mine, other) in enumerate(zip(bp.parts, (d1, d2), (d2, d1))):
-        level = _alpha_level(alpha, part, tol.eps_alpha, f"part {pidx}")
-        expected = float(np.sqrt((d1 + d2) / (2.0 * other)))
-        if abs(level - expected) > tol.eps_alpha:
-            raise InternalCheckError(
-                f"Perron level {level} on part {pidx} (degree {mine}) deviates from its closed form {expected}"
-            )
-        levels.append(level)
-    part0 = set(int(v) for v in bp.parts[0])
+    # The Perron vector is now known to be constant on each part, so on each
+    # distance cell; with unit ratios this also covers the regular case.
+    eps_pdr = tol.scaled("eps_pdr", dec.spectral_radius)
     for r in reports:
-        part_of = 0 if r.vertex in part0 else 1
-        _check_pseudo_matches_transform(r, part_arrays[part_of], alpha, g, eps_pdr)
+        res = _transform_residuals(g, alpha, r.vertex, r.quotient, arrays[r.vertex])
+        if float(np.max(res, initial=0.0)) > eps_pdr:
+            raise InternalCheckError(
+                f"pseudo-intersection numbers at vertex {r.vertex} disagree with the "
+                "Perron-ratio transform of the integer oracle"
+            )
     return Classification(
-        verdict=VERDICT_DISTANCE_BIREGULAR,
-        intersection_arrays=tuple(part_arrays),
+        verdict=verdict,
+        intersection_arrays=verdict_arrays,
         alpha_levels=tuple(levels),
         witness=None,
         walk_regularity=wreg,
     )
-
-
-def _check_pseudo_matches_integer(
-    reports: Sequence[PdrVertexReport],
-    array: IntersectionArray,
-    eps: float,
-) -> None:
-    """Pseudo-intersection numbers must equal the integer counts when the Perron vector is flat."""
-    for r in reports:
-        triples = r.quotient.tridiagonal()
-        for i, (down, stay, up) in enumerate(triples):
-            want_down = array.c[i - 1] if i > 0 else 0.0
-            want_up = array.b[i] if i < len(triples) - 1 else 0.0
-            if (
-                abs(down - want_down) > eps
-                or abs(stay - array.a[i]) > eps
-                or abs(up - want_up) > eps
-            ):
-                raise InternalCheckError(
-                    f"pseudo-intersection numbers at vertex {r.vertex}, level {i} "
-                    "disagree with the integer oracle"
-                )
-
-
-def _check_pseudo_matches_transform(
-    report: PdrVertexReport,
-    array: IntersectionArray,
-    alpha: np.ndarray,
-    g: Graph,
-    eps: float,
-) -> None:
-    """Pseudo numbers must be the Perron-ratio transforms of the integer counts."""
-    res = _transform_residuals(g, alpha, report.vertex, report.quotient, array)
-    if float(np.max(res, initial=0.0)) > eps:
-        raise InternalCheckError(
-            f"pseudo-intersection numbers at vertex {report.vertex} disagree with the "
-            "Perron-ratio transform of the integer oracle"
-        )
 
 
 def _transform_residuals(
@@ -515,17 +466,13 @@ def _transform_residuals(
     Row i holds (down, stay, up) residuals at level i; boundary terms are
     zero. Assumes the Perron entries are constant on each distance cell.
     """
-    info = bfs(g, u)
-    level_alpha = [float(np.mean(alpha[cell])) for cell in info.cells]
-    triples = quotient.tridiagonal()
-    ecc = info.eccentricity
-    res = np.zeros((ecc + 1, 3))
-    for i, (down, stay, up) in enumerate(triples):
-        res[i, 1] = abs(stay - array.a[i])
-        if i > 0:
-            res[i, 0] = abs(down - (level_alpha[i - 1] / level_alpha[i]) * array.c[i - 1])
-        if i < ecc:
-            res[i, 2] = abs(up - (level_alpha[i + 1] / level_alpha[i]) * array.b[i])
+    dist = g.distances[u]
+    level_alpha = np.bincount(dist, weights=alpha) / np.bincount(dist)
+    down, stay, up = np.array(quotient.tridiagonal()).T
+    res = np.zeros((len(level_alpha), 3))
+    res[:, 1] = np.abs(stay - array.a)
+    res[1:, 0] = np.abs(down[1:] - level_alpha[:-1] / level_alpha[1:] * array.c)
+    res[:-1, 2] = np.abs(up[:-1] - level_alpha[1:] / level_alpha[:-1] * array.b)
     return res
 
 
@@ -546,7 +493,7 @@ def perron_transform_consistency(
     if array is None:
         raise ValueError(f"vertex {u} is not distance-regular around in the integer sense")
     info = bfs(g, u)
-    eps_alpha = tol.eps_alpha * max(1.0, dec.spectral_radius)
+    eps_alpha = tol.scaled("eps_alpha", dec.spectral_radius)
     for i, cell in enumerate(info.cells):
         vals = dec.perron[cell]
         if float(vals.max() - vals.min()) > eps_alpha:
@@ -572,7 +519,8 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
     both pseudo-distance-regularity characterizations, the classification
     with its integer oracles, and the adjacent-pair walk identities. Returns
     every failed check tagged by name; an empty tuple means the graph
-    passed everything.
+    passed everything. A disconnected graph or a numerical failure is a
+    tagged violation too, so one bad graph never aborts a corpus run.
     """
     violations: list[Violation] = []
     g6 = serialize_graph6(g)
@@ -581,9 +529,25 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
 
     try:
         dec = decompose(g, tol)
+    except ConnectivityError as exc:
+        return GraphCheckResult(g6, None, False, (*violations, Violation("connectivity", str(exc))))
     except NumericalError as exc:
-        return GraphCheckResult(g6, None, False, (Violation("decompose", str(exc)),))
+        return GraphCheckResult(g6, None, False, (*violations, Violation("decompose", str(exc))))
+    try:
+        verdict, all_pdr = _invariant_suite(g, dec, tol, violations)
+    except NumericalError as exc:
+        violations.append(Violation("numerical", str(exc)))
+        verdict, all_pdr = None, False
+    return GraphCheckResult(g6, verdict, all_pdr, tuple(violations))
 
+
+def _invariant_suite(
+    g: Graph,
+    dec: SpectralDecomposition,
+    tol: ToleranceConfig,
+    violations: list[Violation],
+) -> tuple[str | None, bool]:
+    """Every check of :func:`verify_graph` past the decomposition; returns (verdict, all_pdr)."""
     lam0 = dec.spectral_radius
     alpha = dec.perron
     n = g.n
@@ -594,7 +558,7 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
     for length in range(_WALK_CHECK_MAX_LENGTH + 1):
         lhs = np.diag(powers[length]).astype(float)
         rhs = mults @ dec.eigenvalues**length
-        bound = tol.eps_walk * max(1.0, lam0**length)
+        bound = tol.scaled("eps_walk", lam0, length)
         worst = float(np.max(np.abs(lhs - rhs)))
         if worst > bound:
             violations.append(Violation("closed_walk_identity", f"length {length}: residual {worst:.3e} > {bound:.3e}"))
@@ -622,16 +586,13 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
 
     # Per-vertex: predistance contract, both PDR characterizations.
     reports: list[PdrVertexReport] = []
-    eps_orth = tol.eps_orth
-    eps_pdr_scaled = tol.eps_pdr * max(1.0, lam0)
+    eps_pdr_scaled = tol.scaled("eps_pdr", lam0)
     equivalence_failed = False
     for u in range(n):
-        info = bfs(g, u)
-        ls = local_spectrum(dec, u, tol)
-        system = build_predistance(ls, lam0, float(alpha[u]))
-        _check_predistance_contract(g, ls, system, lam0, float(alpha[u]), eps_orth, violations)
+        system = build_predistance(local_spectrum(dec, u, tol), lam0, float(alpha[u]))
+        _check_predistance_contract(g, system, lam0, float(alpha[u]), tol.eps_orth, violations)
         try:
-            report = is_pdr_around(g, dec, u, tol, info=info, system=system)
+            report = is_pdr_around(g, dec, u, tol, system=system)
         except InternalCheckError as exc:
             violations.append(Violation("equivalence", str(exc)))
             equivalence_failed = True
@@ -640,6 +601,8 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
         if report.is_pdr and not report.extremal:
             violations.append(Violation("extremality", f"vertex {u} is pseudo-distance-regular but not extremal"))
         if report.is_pdr:
+            # Bare eps_pdr, stricter than the scaled spread threshold; kept
+            # unscaled so that this gate is not loosened.
             sum_res = max(abs(sum(t) - lam0) for t in report.quotient.tridiagonal())
             if sum_res > tol.eps_pdr:
                 violations.append(Violation("sum_rule", f"vertex {u}: residual {sum_res:.3e}"))
@@ -653,13 +616,13 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
                 )
 
     if equivalence_failed:
-        return GraphCheckResult(g6, None, False, tuple(violations))
+        return None, False
 
     try:
         cls = classify(g, tol, dec=dec, reports=reports)
     except InternalCheckError as exc:
         violations.append(Violation("classification_internal", str(exc)))
-        return GraphCheckResult(g6, None, all(r.is_pdr for r in reports), tuple(violations))
+        return None, all(r.is_pdr for r in reports)
 
     all_pdr = all(r.is_pdr for r in reports)
     if all_pdr:
@@ -670,7 +633,7 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
         for uu, vv in edges:
             for length in range(_WALK_CHECK_MAX_LENGTH + 1):
                 res_u, res_v = walk_formula_check(g, dec, int(uu), int(vv), length, powers=powers)
-                bound = tol.eps_walk * max(1.0, lam0**length)
+                bound = tol.scaled("eps_walk", lam0, length)
                 if max(res_u, res_v) > bound:
                     violations.append(
                         Violation(
@@ -678,32 +641,22 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
                             f"edge ({uu}, {vv}), length {length}: residual {max(res_u, res_v):.3e}",
                         )
                     )
-        # Neighbors of a common vertex carry equal Perron entries.
+        # Neighbors of a common vertex carry equal Perron entries; unscaled
+        # eps_alpha, as for the Perron levels in classify.
         for u in range(n):
             nbrs = g.neighbors(u)
             if len(nbrs) > 1:
                 spread = float(alpha[nbrs].max() - alpha[nbrs].min())
                 if spread > tol.eps_alpha:
                     violations.append(Violation("neighbor_alpha", f"vertex {u}: spread {spread:.3e}"))
-        # Pseudo numbers against Perron-ratio transforms of the integer counts.
-        for u in range(n):
-            try:
-                res = perron_transform_consistency(g, dec, u, tol)
-            except (ValueError, InternalCheckError) as exc:
-                violations.append(Violation("perron_transform", f"vertex {u}: {exc}"))
-                continue
-            worst = float(res.max(initial=0.0))
-            if worst > eps_pdr_scaled:
-                violations.append(Violation("perron_transform", f"vertex {u}: residual {worst:.3e}"))
     elif cls.verdict != VERDICT_NOT_PDR:
         violations.append(Violation("dichotomy", f"graph with a non-PDR vertex classified {cls.verdict}"))
 
-    return GraphCheckResult(g6, cls.verdict, all_pdr, tuple(violations))
+    return cls.verdict, all_pdr
 
 
 def _check_predistance_contract(
     g: Graph,
-    ls: LocalSpectrum,
     system: PredistanceSystem,
     lam0: float,
     alpha_u: float,
@@ -711,6 +664,7 @@ def _check_predistance_contract(
     violations: list[Violation],
 ) -> None:
     """Orthogonality, normalization, closed forms, and recurrence residuals."""
+    ls = system.spectrum
     u = ls.vertex
     support = ls.values
     weights = ls.support_weights

@@ -58,6 +58,7 @@ class Polynomial:
 class PredistanceSystem:
     """The orthogonal polynomial family of one vertex with its recurrence.
 
+    ``spectrum`` is the local spectrum the family is orthogonal for.
     ``polys[i]`` has degree i, for i up to the vertex's local degree.
     ``recurrence[i]`` holds the Fourier coefficients (previous, same, next)
     of x * polys[i] against polys[i-1], polys[i], polys[i+1], with zeros at
@@ -65,7 +66,7 @@ class PredistanceSystem:
     spectral radius; all are positive.
     """
 
-    vertex: int
+    spectrum: LocalSpectrum
     polys: tuple[Polynomial, ...]
     recurrence: tuple[tuple[float, float, float], ...]
     values_at_radius: tuple[float, ...]
@@ -158,7 +159,7 @@ def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> Pred
         recurrence.append((prev, same, nxt))
 
     return PredistanceSystem(
-        vertex=ls.vertex,
+        spectrum=ls,
         polys=tuple(polys),
         recurrence=tuple(recurrence),
         values_at_radius=tuple(float(pvals[i, 0]) for i in range(k)),

@@ -31,10 +31,14 @@ class GroupingAmbiguityError(NumericalError):
 class ToleranceConfig:
     """Numeric thresholds used across the library.
 
-    ``eps_group`` and ``eps_pdr`` are scaled by max(1, spectral radius) at
-    the point of use; ``eps_walk`` by max(1, spectral radius ** l);
-    ``eps_orth`` is relative. Defaults suit integer adjacency matrices at
-    desk scale, where the true gaps exceed them by several orders.
+    Thresholds that compare quantities growing with the spectral radius are
+    scaled by :meth:`scaled`: ``eps_group``, ``eps_pdr`` and ``eps_alpha``
+    by max(1, spectral radius), ``eps_walk`` by max(1, spectral radius ** l)
+    for walks of length l. A few checks use ``eps_pdr`` or ``eps_alpha``
+    unscaled, which is stricter; each says why where it does. ``eps_orth``
+    is relative; ``eps_mult`` and ``eps_num`` are never scaled by the
+    spectral radius. Defaults suit integer adjacency matrices at desk
+    scale, where the true gaps exceed them by several orders.
     """
 
     eps_group: float = 1e-8  # eigenvalue grouping
@@ -44,6 +48,10 @@ class ToleranceConfig:
     eps_walk: float = 1e-6   # walk-count residuals
     eps_orth: float = 1e-8   # orthogonality / recurrence residuals
     eps_alpha: float = 1e-9  # Perron-entry comparisons
+
+    def scaled(self, name: str, lam0: float, power: int = 1) -> float:
+        """Field ``name`` scaled to the spectral radius: eps * max(1, lam0 ** power)."""
+        return getattr(self, name) * max(1.0, lam0**power)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -145,7 +153,7 @@ def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposi
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
     evals = evals[::-1]
     vecs = vecs[:, ::-1]
-    eps = tol.eps_group * max(1.0, float(evals[0]))
+    eps = tol.scaled("eps_group", float(evals[0]))
     groups = _group_eigenvalues(evals, eps)
     eigenvalues = np.array([float(np.mean(evals[grp])) for grp in groups])
     eigenvalues[np.abs(eigenvalues) < eps] = 0.0  # same clamp idea as local multiplicities

@@ -52,7 +52,7 @@ TOL = ToleranceConfig(
 )
 
 CRITERION_CHECKS = {
-    1: ("decompose", "dichotomy", "classification_internal", "perron_transform", "fourier_match"),
+    1: ("decompose", "connectivity", "numerical", "dichotomy", "classification_internal", "fourier_match"),
     2: ("equivalence", "extremality"),
     3: ("closed_walk_identity", "multiplicity_sum"),
     4: ("pd_orthogonality", "pd_normalization", "pd_closed_forms", "pd_recurrence"),

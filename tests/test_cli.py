@@ -1,13 +1,20 @@
 """CLI surface: subcommands, JSON output, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
-from pdrkit import generate_named, serialize_graph6
+import pdrkit
+from pdrkit import InternalCheckError, generate_named, serialize_graph6
 from pdrkit.cli import main
+
+# sha256 of the stdout of `pdrkit verify --enumerate 5 --per-graph`. No
+# record holds a real number, so the hash is the same on every platform.
+ENUMERATE_5_SHA256 = "b30efa653b463f07505e917f5070424051dddf03fa00a02b9982ba45acc32f52"
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +171,31 @@ def test_verify_per_graph_lines(capsys):
     assert record["graph6"] == "A_" and record["verdict"] == "distance_regular"
 
 
+def test_verify_enumerate_5_golden(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--enumerate", "5", "--per-graph")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == ENUMERATE_5_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_corpus_survives_disconnected_graph(capsys, tmp_path, jobs):
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("Bw\nCQ\nBw\n", encoding="ascii")
+    code, out, _ = run_cli(capsys, "verify", str(corpus), "--jobs", jobs)
+    assert code == 1
+    *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["graph6"], r["verdict"], r["all_pdr"]) for r in records] == [("CQ", None, False)]
+    assert records[0]["violations"] == ["connectivity: graph is disconnected: vertex 1 is unreachable from 0"]
+    assert summary == {
+        "total": 3,
+        "all_pdr": 2,
+        "distance_regular": 2,
+        "distance_biregular": 0,
+        "not_pdr": 0,
+        "violations": 1,
+    }
+
+
 def test_verify_jobs_output_identical(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--enumerate", "4", "--per-graph")
     _, out2, _ = run_cli(capsys, "verify", "--enumerate", "4", "--per-graph", "--jobs", "2")
@@ -187,6 +219,16 @@ def test_exit_code_numerical(capsys):
     code, _, err = run_cli(capsys, "analyze", "--named", "petersen", "--eps-group", "1.0")
     assert code == 4
     assert "grouping" in err.lower() or "factor 10" in err
+
+
+def test_exit_code_internal_check(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise InternalCheckError("characterizations disagree at vertex 0")
+
+    monkeypatch.setattr(pdrkit.cli, "classify", disagree)
+    code, out, err = run_cli(capsys, "analyze", "--named", "petersen")
+    assert code == 5 and out == ""
+    assert err == "internal check error: characterizations disagree at vertex 0\n"
 
 
 def test_exit_code_bad_vertex(capsys):
@@ -271,3 +313,8 @@ def test_render_rejects_non_finite():
     with pytest.raises(ValueError):
         _render_json(float("nan"))
     assert _render_json({"x": [1.5, True, None, "s"]}) == '{"x":[1.5,true,null,"s"]}'
+
+
+def test_package_exports_no_modules():
+    assert not [name for name in pdrkit.__all__ if isinstance(getattr(pdrkit, name), types.ModuleType)]
+    assert {"verify_graph", "walk_count", "distance_matrices"} <= set(pdrkit.__all__)

@@ -225,6 +225,52 @@ def test_bfs_disconnected_names_unreachable_vertex():
     assert "2" in str(exc.value)
 
 
+def test_bfs_disconnected_names_lowest_unreachable_from_source():
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    with pytest.raises(ConnectivityError) as exc:
+        bfs(g, 3)
+    assert exc.value.unreachable == 0
+    assert list(g.distances[3]) == [-1, -1, 1, 0, 1]
+
+
+def test_distance_matrix_is_computed_once_and_frozen():
+    g = generate_named("petersen")
+    assert g.distances is g.distances
+    assert not g.distances.flags.writeable
+    assert bfs(g, 4).dist.base is g.distances
+
+
+# Connected members of every catalog family, up to the largest it builds.
+NAMED_SPECS = [
+    ("petersen",),
+    ("path", 1),
+    ("path", 2),
+    ("path", 22),
+    ("path", 40),
+    ("cycle", 3),
+    ("cycle", 40),
+    ("complete", 1),
+    ("complete", 30),
+    ("complete_bipartite", 1, 3),
+    ("complete_bipartite", 10, 20),
+    ("hypercube", 0),
+    ("hypercube", 6),
+]
+
+
+def test_distance_matrix_and_bipartition_match_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [generate_named(*spec) for spec in NAMED_SPECS]
+    for g in graphs:
+        h = nx.from_numpy_array(g.adjacency.astype(int))
+        want = np.full((g.n, g.n), -1)
+        for u, lengths in nx.all_pairs_shortest_path_length(h):
+            want[u, list(lengths)] = list(lengths.values())
+        assert np.array_equal(g.distances, want)
+        assert (bipartition(g) is not None) == nx.is_bipartite(h)
+
+
 def test_distance_matrices_basics():
     g = generate_named("complete", 3)
     mats = distance_matrices(g)

@@ -1,10 +1,17 @@
 """Pseudo-regularity checks, both characterizations, walk identities,
 classification, and the whole-graph invariant suite."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from pdrkit import (
+    Graph,
+    IllConditionedMeasureError,
+    InternalCheckError,
+    QuotientMatrix,
     VERDICT_DISTANCE_BIREGULAR,
     VERDICT_DISTANCE_REGULAR,
     VERDICT_NOT_PDR,
@@ -312,6 +319,31 @@ def test_classify_theorem_dichotomy_n_up_to_5():
     assert seen[VERDICT_NOT_PDR] == 730
 
 
+def loop_intersection_array(g, u):
+    """Plain-loop reference: per-level sets of (down, stay, up) neighbor counts."""
+    dist = [int(d) for d in g.distances[u]]
+    levels = {}
+    for v in range(g.n):
+        counts = [0, 0, 0]
+        for w in range(g.n):
+            if g.adjacency[v, w] and abs(dist[w] - dist[v]) <= 1:
+                counts[dist[w] - dist[v] + 1] += 1
+        levels.setdefault(dist[v], set()).add(tuple(counts))
+    if any(len(found) > 1 for found in levels.values()):
+        return None
+    rows = [levels[i].pop() for i in range(len(levels))]
+    return tuple(r[2] for r in rows[:-1]), tuple(r[0] for r in rows[1:]), tuple(r[1] for r in rows)
+
+
+def test_intersection_array_matches_loop_reference():
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for u in range(g.n):
+                arr = combinatorial_intersection_array(g, u)
+                got = None if arr is None else (arr.b, arr.c, arr.a)
+                assert got == loop_intersection_array(g, u)
+
+
 # --- transform consistency -------------------------------------------------------
 
 
@@ -387,3 +419,84 @@ def test_verify_graph_verdicts():
     assert verify_graph(generate_named("path", 4)).verdict == VERDICT_NOT_PDR
     r = verify_graph(generate_named("complete_bipartite", 1, 2))
     assert r.verdict == VERDICT_DISTANCE_BIREGULAR and r.all_pdr
+
+
+def test_verify_graph_tags_disconnected_input():
+    r = verify_graph(Graph.from_edges(4, [(0, 2), (1, 3)]))
+    assert r.verdict is None and not r.all_pdr
+    assert [v.check for v in r.violations] == ["connectivity"]
+    assert "vertex 1 is unreachable from 0" in r.violations[0].detail
+
+
+def test_verify_graph_tags_numerical_error_after_decompose(monkeypatch):
+    from pdrkit import pdr
+
+    def ill_conditioned(ls, lambda0, alpha_u):
+        raise IllConditionedMeasureError(f"rank loss at vertex {ls.vertex}")
+
+    monkeypatch.setattr(pdr, "build_predistance", ill_conditioned)
+    r = verify_graph(generate_named("petersen"))
+    assert r.verdict is None and not r.all_pdr
+    assert [(v.check, v.detail) for v in r.violations] == [("numerical", "rank loss at vertex 0")]
+
+
+@pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
+def test_classify_rejects_doctored_quotient(spec):
+    # classify is the only check comparing pseudo-intersection numbers with
+    # the Perron-ratio transform of the integer counts, in both verdicts.
+    g = generate_named(*spec)
+    dec = decompose(g)
+    reports = [is_pdr_around(g, dec, u) for u in range(g.n)]
+    assert classify(g, dec=dec, reports=reports).verdict in (VERDICT_DISTANCE_REGULAR, VERDICT_DISTANCE_BIREGULAR)
+    entries = reports[1].quotient.entries.copy()
+    entries[0, 1] += 1e-3
+    reports[1] = dataclasses.replace(reports[1], quotient=QuotientMatrix(entries=entries))
+    with pytest.raises(InternalCheckError, match="vertex 1 .*Perron-ratio transform"):
+        classify(g, dec=dec, reports=reports)
+
+
+def _verify(g):
+    return verify_graph(g)
+
+
+def _classify(g):
+    return classify(g)
+
+
+def _analysis_report(g):
+    from pdrkit.cli import analysis_report
+
+    return analysis_report(g)
+
+
+@pytest.mark.parametrize("entry", [_verify, _classify, _analysis_report])
+@pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
+def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
+    from pdrkit import cli, graph_core, pdr
+
+    calls = Counter()
+    # (module that looks the name up, function name, the vertex a call is for)
+    counted = [
+        (graph_core, "all_pairs_distances", lambda args: None),
+        (pdr, "local_spectrum", lambda args: args[1]),
+        (pdr, "pseudo_regular_check", lambda args: int(args[2][0][0])),
+        (pdr, "combinatorial_intersection_array", lambda args: args[1]),
+        (pdr, "build_predistance", lambda args: args[0].vertex),
+        (cli, "local_spectrum", lambda args: args[1]),
+        (cli, "build_predistance", lambda args: args[0].vertex),
+    ]
+    for module, name, vertex_of in counted:
+
+        def wrapper(*args, _fn=getattr(module, name), _name=name, _vertex_of=vertex_of, **kwargs):
+            calls[_name, _vertex_of(args)] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    g = generate_named(*spec)
+    entry(g)
+    assert calls["all_pairs_distances", None] == 1
+    for name in ("local_spectrum", "pseudo_regular_check", "combinatorial_intersection_array", "build_predistance"):
+        per_vertex = {u: calls[name, u] for u in range(g.n)}
+        assert max(per_vertex.values()) <= 1, (name, per_vertex)
+    assert calls["combinatorial_intersection_array", 0] == 1  # the all-PDR branch ran
