@@ -2,11 +2,13 @@
 """Orthogonal polynomials from a vertex's local spectrum.
 
 Each vertex carries a discrete measure: its local multiplicities sitting on
-its local eigenvalues. Gram-Schmidt over the monomials gives an orthogonal
-polynomial family p_0, p_1, ..., one degree per support point, normalized so
-that ||p_i||^2 equals (Perron entry)^2 * p_i(spectral radius). Two closed
-forms drop out: p_0 is the squared Perron entry, and p_1 is
-(squared Perron entry * radius / degree) * x.
+its local eigenvalues. Lanczos on that measure gives the three-term
+recurrence of an orthogonal polynomial family p_0, p_1, ..., one degree per
+support point, normalized so that ||p_i||^2 equals
+(Perron entry)^2 * p_i(spectral radius). Two closed forms drop out: p_0 is
+the squared Perron entry, and p_1 is (squared Perron entry * radius / degree)
+* x. The monomial coefficients printed below are expanded from the
+recurrence.
 
 On a distance-regular graph the family is the same at every vertex and
 applying p_i to the adjacency matrix reproduces the distance-i matrix.

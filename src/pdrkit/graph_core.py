@@ -114,6 +114,11 @@ class Graph:
         """All-pairs hop distances, computed on first use; see :func:`all_pairs_distances`."""
         return all_pairs_distances(self)
 
+    @cached_property
+    def bipartition(self) -> "Bipartition | None":
+        """The 2-coloring, computed on first use; see :func:`bipartition`."""
+        return bipartition(self)
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceInfo:
@@ -244,12 +249,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def bfs(g: Graph, u: int) -> DistanceInfo:
-    """Exact hop distances from u and the distance partition around it.
+def distances_from(g: Graph, u: int) -> np.ndarray:
+    """Row u of ``g.distances``.
 
-    A view of row u of ``g.distances``. Raises :class:`ConnectivityError`
-    naming the lowest vertex unreachable from u when the graph is
-    disconnected.
+    Raises :class:`ConnectivityError` naming the lowest vertex unreachable
+    from u when the graph is disconnected.
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range for a graph on {g.n} vertices")
@@ -257,6 +261,15 @@ def bfs(g: Graph, u: int) -> DistanceInfo:
     if dist.min() < 0:
         v = int(np.argmin(dist))
         raise ConnectivityError(f"graph is disconnected: vertex {v} is unreachable from {u}", unreachable=v)
+    return dist
+
+
+def bfs(g: Graph, u: int) -> DistanceInfo:
+    """Exact hop distances from u and the distance partition around it.
+
+    A view of row u of ``g.distances``; raises as :func:`distances_from`.
+    """
+    dist = distances_from(g, u)
     ecc = int(dist.max())
     cells = tuple(np.nonzero(dist == i)[0] for i in range(ecc + 1))
     return DistanceInfo(source=u, dist=dist, eccentricity=ecc, cells=cells)
@@ -268,7 +281,7 @@ def distance_matrices(g: Graph) -> list[np.ndarray]:
     A_0 is the identity pattern, A_1 the adjacency, and the matrices sum to
     the all-ones pattern.
     """
-    bfs(g, 0)  # raises ConnectivityError on disconnected input
+    distances_from(g, 0)  # raises ConnectivityError on disconnected input
     dist = g.distances
     return [(dist == i).astype(np.int8) for i in range(int(dist.max()) + 1)]
 
@@ -385,10 +398,10 @@ def bipartition(g: Graph) -> Bipartition | None:
     """The unique 2-coloring of a connected bipartite graph, else None.
 
     The part containing vertex 0 comes first. ``biregular`` requires both
-    parts nonempty with constant degree.
+    parts nonempty with constant degree. Use ``g.bipartition``, which
+    computes it once per graph.
     """
-    info = bfs(g, 0)
-    color = (info.dist % 2).astype(bool)
+    color = (distances_from(g, 0) % 2).astype(bool)
     same = g.adjacency & (color[:, None] == color[None, :])
     if same.any():
         return None

@@ -22,7 +22,7 @@ from .graph_core import (
     ConnectivityError,
     Graph,
     bfs,
-    bipartition,
+    distances_from,
     parse_graph6,
     serialize_graph6,
 )
@@ -36,7 +36,7 @@ from .spectral import (
     decompose,
     local_spectrum,
 )
-from .predistance import PredistanceSystem, apply_poly_column, build_predistance
+from .predistance import PredistanceSystem, build_predistance
 
 VERDICT_DISTANCE_REGULAR = "distance_regular"
 VERDICT_DISTANCE_BIREGULAR = "distance_biregular"
@@ -74,17 +74,11 @@ class QuotientMatrix:
         Level i reads (entries[i, i-1], entries[i, i], entries[i, i+1]) with
         zeros at the ends. Raises if any off-band entry is nonzero.
         """
-        m = self.size
-        band = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :]) <= 1
-        if np.any(self.entries[~band] != 0.0):
+        e = self.entries
+        if np.any(np.triu(e, 2)) or np.any(np.tril(e, -2)):
             raise ValueError("quotient matrix is not tridiagonal")
-        out = []
-        for i in range(m):
-            down = float(self.entries[i, i - 1]) if i > 0 else 0.0
-            stay = float(self.entries[i, i])
-            up = float(self.entries[i, i + 1]) if i < m - 1 else 0.0
-            out.append((down, stay, up))
-        return tuple(out)
+        down, up = [0.0, *np.diagonal(e, -1).tolist()], [*np.diagonal(e, 1).tolist(), 0.0]
+        return tuple(zip(down, np.diagonal(e).tolist(), up))
 
 
 @dataclass(frozen=True)
@@ -178,9 +172,7 @@ def weighted_distance_column(
 
     Entry v is perron[u] * perron[v] when dist(u, v) == level, else 0.
     """
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range for a graph on {g.n} vertices")
-    dist = g.distances[u]
+    dist = distances_from(g, u)
     ecc = int(dist.max())
     if not 0 <= level <= ecc:
         raise ValueError(f"level {level} out of range for eccentricity {ecc}")
@@ -214,22 +206,24 @@ def pseudo_regular_check(
     alpha = dec.perron
     flows = (g.adjacency * alpha[None, :]) @ member / alpha[:, None]
     eps = tol.scaled("eps_pdr", dec.spectral_radius)
+    targets = np.arange(m)
     for i, cell in enumerate(cells):
         block = flows[cell]
-        for j in range(m):
-            vals = block[:, j]
-            lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-            if vals[hi] - vals[lo] > eps:
-                a, b = sorted((lo, hi))
-                return None, PartitionWitness(
-                    cell=i,
-                    target=j,
-                    vertex_a=int(cell[a]),
-                    vertex_b=int(cell[b]),
-                    value_a=float(vals[a]),
-                    value_b=float(vals[b]),
-                )
-    entries = np.array([[float(np.mean(flows[cell, j])) for j in range(m)] for cell in cells])
+        lo, hi = block.argmin(axis=0), block.argmax(axis=0)
+        spread = block[hi, targets] - block[lo, targets]
+        wide = np.flatnonzero(spread > eps)
+        if len(wide):
+            j = int(wide[0])
+            a, b = sorted((int(lo[j]), int(hi[j])))
+            return None, PartitionWitness(
+                cell=i,
+                target=j,
+                vertex_a=int(cell[a]),
+                vertex_b=int(cell[b]),
+                value_a=float(block[a, j]),
+                value_b=float(block[b, j]),
+            )
+    entries = np.stack([flows[cell].mean(axis=0) for cell in cells])
     entries.setflags(write=False)
     return QuotientMatrix(entries=entries), None
 
@@ -245,11 +239,11 @@ def is_pdr_around(
     """Decide pseudo-distance-regularity around u by both characterizations.
 
     (a) The distance partition around u must be pseudo-regular; (b) u must
-    be extremal (eccentricity equal to local degree) and each orthogonal
-    polynomial column must reproduce the weighted distance column for every
-    level. The two verdicts must agree or :class:`InternalCheckError` is
-    raised. ``system`` allows reuse of a prebuilt predistance system and
-    its local spectrum.
+    be extremal (eccentricity equal to local degree) and each column
+    p_i(A)e_u, run from the recurrence, must reproduce the weighted distance
+    column for every level. The two verdicts must agree or
+    :class:`InternalCheckError` is raised. ``system`` allows reuse of a
+    prebuilt predistance system and its local spectrum.
     """
     info = bfs(g, u)
     quotient, witness = pseudo_regular_check(g, dec, info.cells, tol)
@@ -264,8 +258,8 @@ def is_pdr_around(
         eps = tol.scaled("eps_pdr", dec.spectral_radius)
         # Extremal: the polynomial degrees run over exactly the levels 0..ecc.
         via_polynomials = all(
-            float(np.max(np.abs(apply_poly_column(g, p, u) - weighted_distance_column(g, dec, u, level)))) <= eps
-            for level, p in enumerate(system.polys)
+            float(np.max(np.abs(col - weighted_distance_column(g, dec, u, level)))) <= eps
+            for level, col in enumerate(system.columns(g))
         )
 
     if via_partition != via_polynomials:
@@ -324,14 +318,14 @@ def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | No
     level down, on the level, and one level up; returns the array only when
     the three counts are constant on every level.
     """
-    info = bfs(g, u)
-    step = info.dist[None, :] - info.dist[:, None]  # step[v, w] = dist(u, w) - dist(u, v)
+    dist = distances_from(g, u)
+    step = dist[None, :] - dist[:, None]  # step[v, w] = dist(u, w) - dist(u, v)
     counts = np.stack([(g.adjacency & (step == s)).sum(axis=1) for s in (-1, 0, 1)], axis=1)
-    levels = counts[[cell[0] for cell in info.cells]]  # one representative per level
-    if not np.array_equal(counts, levels[info.dist]):
+    levels = counts[np.unique(dist, return_index=True)[1]]  # the lowest vertex of each level
+    if not np.array_equal(counts, levels[dist]):
         return None
     down, stay, up = map(tuple, levels.T.tolist())
-    return IntersectionArray(b=up[: info.eccentricity], c=down[1:], a=stay, part=None)
+    return IntersectionArray(b=up[:-1], c=down[1:], a=stay, part=None)
 
 
 def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> str:
@@ -348,7 +342,7 @@ def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig =
 
     if constant_rows(mults):
         return WALK_REGULAR
-    bp = bipartition(g)
+    bp = g.bipartition
     if bp is not None and all(constant_rows(mults[part]) for part in bp.parts if len(part)):
         return WALK_BIREGULAR
     return WALK_NEITHER
@@ -411,7 +405,7 @@ def classify(
             raise InternalCheckError("regular graph must have unit Perron entries")
         verdict, verdict_arrays, levels = VERDICT_DISTANCE_REGULAR, (arrays[0],), [level]
     else:
-        bp = bipartition(g)
+        bp = g.bipartition
         if bp is None or not bp.biregular:
             raise InternalCheckError("all-PDR non-regular graph must be bipartite biregular")
         if wreg != WALK_BIREGULAR:
@@ -606,10 +600,7 @@ def _invariant_suite(
             sum_res = max(abs(sum(t) - lam0) for t in report.quotient.tridiagonal())
             if sum_res > tol.eps_pdr:
                 violations.append(Violation("sum_rule", f"vertex {u}: residual {sum_res:.3e}"))
-            fourier = system.level_triples()
-            four_res = max(
-                abs(x - y) for t, f in zip(report.quotient.tridiagonal(), fourier) for x, y in zip(t, f)
-            )
+            four_res = float(np.max(np.abs(np.subtract(report.quotient.tridiagonal(), system.level_triples()))))
             if four_res > eps_pdr_scaled:
                 violations.append(
                     Violation("fourier_match", f"vertex {u}: quotient vs recurrence residual {four_res:.3e}")
@@ -664,17 +655,12 @@ def _check_predistance_contract(
     violations: list[Violation],
 ) -> None:
     """Orthogonality, normalization, closed forms, and recurrence residuals."""
-    ls = system.spectrum
-    u = ls.vertex
-    support = ls.values
-    weights = ls.support_weights
-    k = len(support)
-    vals = np.stack([p(support) for p in system.polys])
+    ls, vals = system.spectrum, system.support_values
+    u, support, weights = ls.vertex, ls.values, ls.support_weights
     gram = (vals * weights) @ vals.T
-    norms2 = np.diag(gram).copy()
-    off = np.abs(gram - np.diag(norms2))
-    scale = np.sqrt(np.outer(norms2, norms2))
-    worst_orth = float(np.max(off / np.maximum(scale, 1e-300), initial=0.0))
+    norms2 = np.diag(gram)
+    scale = np.maximum(np.sqrt(np.outer(norms2, norms2)), 1e-300)
+    worst_orth = float(np.max(np.abs(gram - np.diag(norms2)) / scale))
     if worst_orth > eps:
         violations.append(Violation("pd_orthogonality", f"vertex {u}: relative residual {worst_orth:.3e}"))
 
@@ -683,26 +669,25 @@ def _check_predistance_contract(
     if norm_res > eps or np.any(lam0_vals <= 0):
         violations.append(Violation("pd_normalization", f"vertex {u}: residual {norm_res:.3e}"))
 
-    p0 = system.polys[0].coeffs
-    ok0 = len(p0) == 1 and abs(p0[0] - alpha_u**2) <= eps * max(1.0, alpha_u**2)
-    ok1 = True
-    if k > 1:
+    # p_0 is constant and p_1 = (p_0 / next_0) (x - same_0).
+    p0 = lam0_vals[0]
+    ok = abs(p0 - alpha_u**2) <= eps * max(1.0, alpha_u**2)
+    if len(vals) > 1:
         expected = alpha_u**2 * lam0 / g.degree(u)
-        p1 = system.polys[1].coeffs
-        ok1 = len(p1) == 2 and abs(p1[0]) <= eps * max(1.0, expected) and abs(p1[1] - expected) <= eps * max(1.0, expected)
-    if not (ok0 and ok1):
+        _, same0, next0 = system.recurrence[0]
+        lead = p0 / next0
+        ok = ok and abs(lead * same0) <= eps * max(1.0, expected) and abs(lead - expected) <= eps * max(1.0, expected)
+    if not ok:
         violations.append(Violation("pd_closed_forms", f"vertex {u}: constant or degree-one polynomial off"))
 
-    for i in range(k):
-        xp = support * vals[i]
-        rec = system.recurrence[i]
-        combo = rec[1] * vals[i]
-        if i > 0:
-            combo = combo + rec[0] * vals[i - 1]
-        if i < k - 1:
-            combo = combo + rec[2] * vals[i + 1]
-        res = float(np.sqrt(np.dot(weights, (xp - combo) ** 2)))
-        ref = float(np.sqrt(np.dot(weights, xp**2)))
-        if res > eps * max(1.0, ref):
-            violations.append(Violation("pd_recurrence", f"vertex {u}, index {i}: residual {res:.3e}"))
-            break
+    # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support; the
+    # zero end coefficients make the rolled-in rows vanish. The last row is
+    # the Golub-Welsch closure: the Krylov space ends at local degree + 1.
+    prev, same, nxt = (np.array(c)[:, None] for c in zip(*system.recurrence))
+    xp = vals * support
+    combo = prev * np.roll(vals, 1, axis=0) + same * vals + nxt * np.roll(vals, -1, axis=0)
+    res = np.sqrt(((xp - combo) ** 2) @ weights)
+    ref = np.sqrt(xp**2 @ weights)
+    bad = np.flatnonzero(res > eps * np.maximum(1.0, ref))
+    if len(bad):
+        violations.append(Violation("pd_recurrence", f"vertex {u}, index {bad[0]}: residual {res[bad[0]]:.3e}"))

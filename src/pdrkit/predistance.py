@@ -1,21 +1,19 @@
 """Orthogonal polynomials for the spectral measure seen from one vertex.
 
 The measure places the vertex's local multiplicities on its local
-eigenvalues. Gram-Schmidt over the monomials (two passes, to clean up
-rounding) yields a monic orthogonal family, which is then rescaled so that
-the squared norm of each polynomial equals the squared Perron entry times
-its value at the spectral radius. That scaling forces positive values at
-the spectral radius, and makes the constant polynomial equal the squared
-Perron entry and the degree-one polynomial equal
-(squared Perron entry * spectral radius / vertex degree) * x.
-
-The three-term recurrence coefficients are extracted afterwards as Fourier
-coefficients of x * p_i against p_{i-1}, p_i, p_{i+1}.
+eigenvalues. Lanczos on diag(support), started from the square roots of the
+weights, yields the family's values on the support and its three-term
+recurrence at once; the columns p_i(A)e_u and the monomial coefficients are
+derived by running the recurrence. Each p_i is scaled so that ||p_i||^2 is
+the squared Perron entry times p_i(spectral radius) > 0, which makes p_0 the
+squared Perron entry and p_1 = (p_0 * spectral radius / vertex degree) * x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -58,35 +56,48 @@ class Polynomial:
 class PredistanceSystem:
     """The orthogonal polynomial family of one vertex with its recurrence.
 
-    ``spectrum`` is the local spectrum the family is orthogonal for.
-    ``polys[i]`` has degree i, for i up to the vertex's local degree.
+    ``spectrum`` is the local spectrum the family is orthogonal for; there
+    is one polynomial per degree up to the vertex's local degree.
+    ``support_values[i, j]`` is p_i at the j-th support value.
     ``recurrence[i]`` holds the Fourier coefficients (previous, same, next)
-    of x * polys[i] against polys[i-1], polys[i], polys[i+1], with zeros at
-    the two ends. ``values_at_radius[i]`` is polys[i] evaluated at the
-    spectral radius; all are positive.
+    of x * p_i against p_{i-1}, p_i, p_{i+1}, with zeros at the two ends.
+    ``values_at_radius[i]`` is p_i evaluated at the spectral radius; all are
+    positive.
     """
 
     spectrum: LocalSpectrum
-    polys: tuple[Polynomial, ...]
+    support_values: np.ndarray
     recurrence: tuple[tuple[float, float, float], ...]
     values_at_radius: tuple[float, ...]
+
+    @cached_property
+    def polys(self) -> tuple[Polynomial, ...]:
+        """Monomial coefficients, for reporting; ``polys[i]`` has degree i."""
+        coeffs = self._run(np.arange(len(self.recurrence)) == 0, lambda c: np.roll(c, 1))
+        return tuple(Polynomial(c[: i + 1]) for i, c in enumerate(coeffs))
+
+    def columns(self, g: Graph) -> Iterator[np.ndarray]:
+        """p_0(A)e_u, p_1(A)e_u, ... for the vertex u, one matvec per degree."""
+        A = g.adjacency_matrix()
+        return self._run(np.arange(g.n) == self.spectrum.vertex, lambda v: A @ v)
+
+    def _run(self, unit: np.ndarray, times_x) -> Iterator[np.ndarray]:
+        """Yield p_0(x) unit, p_1(x) unit, ... by the recurrence, where ``times_x`` applies x."""
+        before, cur = 0.0 * unit, self.values_at_radius[0] * unit
+        yield cur
+        for prev, same, nxt in self.recurrence[:-1]:
+            before, cur = cur, (times_x(cur) - same * cur - prev * before) / nxt
+            yield cur
 
     def level_triples(self) -> tuple[tuple[float, float, float], ...]:
         """Recurrence coefficients regrouped per level as (down, stay, up).
 
-        Level i collects the coefficient of polys[i] in x * polys[i-1]
-        (down), in x * polys[i] (stay), and in x * polys[i+1] (up). At a
-        vertex where the graph is pseudo-distance-regular these are the
-        local intersection numbers.
+        Level i collects the coefficient of p_i in x * p_{i-1} (down), in
+        x * p_i (stay), and in x * p_{i+1} (up). At a vertex where the graph
+        is pseudo-distance-regular these are the local intersection numbers.
         """
-        k = len(self.polys)
-        out = []
-        for i in range(k):
-            down = self.recurrence[i - 1][2] if i > 0 else 0.0
-            stay = self.recurrence[i][1]
-            up = self.recurrence[i + 1][0] if i < k - 1 else 0.0
-            out.append((down, stay, up))
-        return tuple(out)
+        prev, same, nxt = zip(*self.recurrence)
+        return tuple(zip((0.0, *nxt[:-1]), same, (*prev[1:], 0.0)))
 
 
 def local_inner_product(ls: LocalSpectrum, f: Polynomial, g: Polynomial) -> float:
@@ -118,51 +129,38 @@ def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> Pred
     if abs(support[0] - lambda0) > 1e-9 * max(1.0, abs(lambda0)):
         raise ValueError("spectral radius must be the largest support value")
 
-    vander = np.vander(support, k, increasing=True)  # column j holds support**j
-    coeff = np.zeros((k, k))
-    vals = np.zeros((k, k))
-    norms2 = np.zeros(k)
-    for i in range(k):
-        c = np.zeros(k)
-        c[i] = 1.0
-        v = vander[:, i].copy()
-        for _ in range(2):  # re-orthogonalize to clean up rounding
-            for j in range(i):
-                proj = float(np.dot(weights * vals[j], v) / norms2[j])
-                v -= proj * vals[j]
-                c -= proj * coeff[j]
-        nq2 = float(np.dot(weights, v * v))
-        ref = float(np.dot(weights, vander[:, i] ** 2))
-        if nq2 <= _RANK_FLOOR * max(1.0, ref):
+    # Lanczos on diag(support), reorthogonalized twice: row i of q is
+    # sqrt(weights) times the i-th orthonormal polynomial on the support, and
+    # off is the Jacobi matrix's off-diagonal.
+    q = np.zeros((k, k))
+    q[0] = np.sqrt(weights / weights.sum())
+    off = np.zeros(k - 1)
+    for i in range(k - 1):
+        v = support * q[i]
+        ref = float(v @ v)
+        for _ in range(2):
+            v -= q[: i + 1].T @ (q[: i + 1] @ v)
+        off[i] = np.sqrt(v @ v)
+        if off[i] ** 2 <= _RANK_FLOOR * max(1.0, ref):
             raise IllConditionedMeasureError(
-                f"rank loss at degree {i}: support points of vertex {ls.vertex} are numerically coincident"
+                f"rank loss at degree {i + 1}: support points of vertex {ls.vertex} are numerically coincident"
             )
-        coeff[i], vals[i], norms2[i] = c, v, nq2
+        q[i + 1] = v / off[i]
+    same = (q**2 @ support).tolist()
 
-    # Rescale the monic family: the factor alpha_u^2 q(lambda0) / ||q||^2
-    # enforces ||p||^2 = alpha_u^2 p(lambda0) with p(lambda0) > 0.
-    pvals = np.zeros((k, k))
-    pnorm2 = np.zeros(k)
-    polys = []
-    for i in range(k):
-        scale = alpha_u**2 * vals[i, 0] / norms2[i]
-        polys.append(Polynomial(tuple(scale * coeff[i, : i + 1])))
-        pvals[i] = scale * vals[i]
-        pnorm2[i] = scale**2 * norms2[i]
-
-    recurrence = []
-    for i in range(k):
-        xp = support * pvals[i]
-        prev = float(np.dot(weights * xp, pvals[i - 1]) / pnorm2[i - 1]) if i > 0 else 0.0
-        same = float(np.dot(weights * xp, pvals[i]) / pnorm2[i])
-        nxt = float(np.dot(weights * xp, pvals[i + 1]) / pnorm2[i + 1]) if i < k - 1 else 0.0
-        recurrence.append((prev, same, nxt))
-
+    # p_i = s_i phat_i with s_i = alpha_u^2 phat_i(lambda0) enforces
+    # ||p_i||^2 = alpha_u^2 p_i(lambda0) with p_i(lambda0) > 0.
+    phat = q / np.sqrt(weights)
+    s = alpha_u**2 * phat[:, 0]
+    vals = s[:, None] * phat
+    vals.setflags(write=False)
+    ratio = s[1:] / s[:-1]
+    prev, nxt = [0.0, *(off * ratio).tolist()], [*(off / ratio).tolist(), 0.0]
     return PredistanceSystem(
         spectrum=ls,
-        polys=tuple(polys),
-        recurrence=tuple(recurrence),
-        values_at_radius=tuple(float(pvals[i, 0]) for i in range(k)),
+        support_values=vals,
+        recurrence=tuple(zip(prev, same, nxt)),
+        values_at_radius=tuple(vals[:, 0].tolist()),
     )
 
 

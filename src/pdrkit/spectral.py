@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, bfs
+from .graph_core import Graph, distances_from
 
 DEFAULT_WALK_CAP = 12
 
@@ -145,7 +145,7 @@ def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposi
     per group from eigenvector outer products, and returns the Perron vector
     scaled positive with squared norm n.
     """
-    bfs(g, 0)  # raises ConnectivityError on disconnected input
+    distances_from(g, 0)  # raises ConnectivityError on disconnected input
     A = g.adjacency_matrix()
     try:
         evals, vecs = np.linalg.eigh(A)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import types
@@ -72,6 +73,12 @@ def test_analyze_not_pdr_witness(capsys):
     inner = doc["per_vertex"][1]
     assert not inner["is_pdr"]
     assert inner["witness"]["cell"] == 1 and inner["witness"]["target"] == 0
+
+
+def test_analyze_cycle45_high_local_degree(capsys):
+    # Local degree 22: the polynomial and partition characterizations must agree.
+    doc = run_json(capsys, "analyze", "--named", "cycle:45")
+    assert doc["classification"]["verdict"] == "distance_regular"
 
 
 def test_analyze_deterministic(capsys):
@@ -297,10 +304,14 @@ def test_env_tolerance_fallback(capsys, monkeypatch):
 
 
 def test_python_dash_m_entry():
+    # The child imports the same pdrkit as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(pdrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "pdrkit", "analyze", "--named", "cycle:4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -440,6 +440,35 @@ def test_verify_graph_tags_numerical_error_after_decompose(monkeypatch):
     assert [(v.check, v.detail) for v in r.violations] == [("numerical", "rank loss at vertex 0")]
 
 
+@pytest.mark.parametrize(
+    "spec, verdict",
+    [(("cycle", k), VERDICT_DISTANCE_REGULAR) for k in (40, 45, 63, 90, 120)]
+    + [(("path", k), VERDICT_NOT_PDR) for k in (22, 29, 40, 70, 100)]
+    + [(("hypercube", d), VERDICT_DISTANCE_REGULAR) for d in (6, 7, 8)],
+)
+def test_classify_high_local_degree(spec, verdict):
+    # Local degree up to 99 (path:100), far past where a monomial basis is usable.
+    assert classify(generate_named(*spec)).verdict == verdict
+
+
+@pytest.mark.parametrize("spec", [("cycle", 40), ("cycle", 45), ("path", 22), ("path", 29), ("path", 40)])
+def test_verify_graph_clean_at_high_local_degree(spec):
+    assert verify_graph(generate_named(*spec)).violations == ()
+
+
+@pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
+def test_checks_never_expand_monomials(monkeypatch, spec):
+    from pdrkit import predistance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("monomial coefficients expanded")
+
+    monkeypatch.setattr(predistance, "Polynomial", refuse)
+    g = generate_named(*spec)
+    assert verify_graph(g).violations == ()
+    assert classify(g).verdict in (VERDICT_DISTANCE_REGULAR, VERDICT_DISTANCE_BIREGULAR)
+
+
 @pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
 def test_classify_rejects_doctored_quotient(spec):
     # classify is the only check comparing pseudo-intersection numbers with
@@ -478,6 +507,7 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
     # (module that looks the name up, function name, the vertex a call is for)
     counted = [
         (graph_core, "all_pairs_distances", lambda args: None),
+        (graph_core, "bipartition", lambda args: None),
         (pdr, "local_spectrum", lambda args: args[1]),
         (pdr, "pseudo_regular_check", lambda args: int(args[2][0][0])),
         (pdr, "combinatorial_intersection_array", lambda args: args[1]),
@@ -496,6 +526,8 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
     g = generate_named(*spec)
     entry(g)
     assert calls["all_pairs_distances", None] == 1
+    # Needed only on a graph that is not regular.
+    assert calls["bipartition", None] == (0 if spec == ("petersen",) else 1)
     for name in ("local_spectrum", "pseudo_regular_check", "combinatorial_intersection_array", "build_predistance"):
         per_vertex = {u: calls[name, u] for u in range(g.n)}
         assert max(per_vertex.values()) <= 1, (name, per_vertex)

@@ -24,8 +24,12 @@ X = Polynomial((0.0, 1.0))
 
 def system_for(g, u):
     dec = decompose(g)
+    return (dec, *system_for_decomposition(dec, u))
+
+
+def system_for_decomposition(dec, u):
     ls = local_spectrum(dec, u)
-    return dec, ls, build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
+    return ls, build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
 
 
 # --- Polynomial -------------------------------------------------------------
@@ -159,6 +163,41 @@ def test_distance_regular_catalog_reproduces_distance_matrices():
                 for v in range(g.n):
                     col = apply_poly_column(g, p, v)
                     assert np.max(np.abs(col - mats[i][:, v])) < 1e-7
+
+
+def test_golub_welsch_oracle_small_corpus():
+    # The symmetrized Jacobi matrix of the recurrence has the local support
+    # as eigenvalues and the support weights as squared first components.
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            dec = decompose(g)
+            for u in range(g.n):
+                ls, system = system_for_decomposition(dec, u)
+                prev, same, nxt = (np.array(c) for c in zip(*system.recurrence))
+                off = np.sqrt(prev[1:] * nxt[:-1])
+                jacobi = np.diag(same) + np.diag(off, 1) + np.diag(off, -1)
+                evals, evecs = np.linalg.eigh(jacobi)
+                assert np.allclose(evals[::-1], ls.values, atol=1e-10)
+                weights = evecs[0, ::-1] ** 2 * ls.support_weights.sum()
+                assert np.allclose(weights, ls.support_weights, atol=1e-10)
+
+
+def test_recurrence_columns_match_horner_on_polys():
+    graphs = [
+        generate_named("petersen"),
+        generate_named("path", 5),
+        generate_named("cycle", 7),
+        generate_named("complete_bipartite", 2, 3),
+        generate_named("hypercube", 3),
+    ]
+    for g in graphs:
+        dec = decompose(g)
+        for u in range(g.n):
+            _, system = system_for_decomposition(dec, u)
+            cols = list(system.columns(g))
+            assert len(cols) == len(system.polys)
+            for col, p in zip(cols, system.polys):
+                assert np.allclose(col, apply_poly_column(g, p, u), atol=1e-10)
 
 
 def test_ill_conditioned_support_raises():
