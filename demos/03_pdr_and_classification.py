@@ -59,7 +59,7 @@ for u in range(4):
 # partitions: the center/leaves split of a star works too.
 star = generate_named("complete_bipartite", 1, 2)
 sdec = decompose(star)
-quotient, _ = pseudo_regular_check(star, sdec, (np.array([0]), np.array([1, 2])))
+quotient, _ = pseudo_regular_check(star, sdec, np.array([0, 1, 1]))  # cell of each vertex
 print("\nstar center/leaves quotient:\n", quotient.entries)
 print("spectral radius:", sdec.spectral_radius)
 

@@ -11,15 +11,14 @@ re-verified against exact integer counting oracles.
 from .graph_core import (
     Bipartition,
     ConnectivityError,
-    DistanceInfo,
     Graph,
     Graph6Error,
     GRAPH6_MAX_N,
     NAMED_FAMILIES,
     UnsupportedSizeError,
-    bfs,
     bipartition,
     distance_matrices,
+    distances_from,
     enumerate_connected,
     generate_named,
     parse_graph6,

@@ -30,7 +30,7 @@ from .graph_core import (
     Graph6Error,
     NAMED_FAMILIES,
     UnsupportedSizeError,
-    bfs,
+    distances_from,
     enumerate_connected,
     generate_named,
     parse_graph6,
@@ -193,7 +193,9 @@ def _tolerance_block(tol: ToleranceConfig) -> dict:
 
 
 def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Full analysis of one graph as a plain JSON-ready dict."""
+    """Full analysis of one graph as a plain JSON-ready dict; past short
+    graph6 (n > 62) it raises :class:`UnsupportedSizeError` before any spectral work."""
+    g6 = serialize_graph6(g)
     dec = decompose(g, tol)
     reports = [is_pdr_around(g, dec, u, tol) for u in range(g.n)]
     cls = classify(g, tol, dec=dec, reports=reports)
@@ -212,7 +214,7 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
             entry["witness"] = _witness_block(r.witness)
         per_vertex.append(entry)
     return {
-        "input": serialize_graph6(g),
+        "input": g6,
         "n": g.n,
         "edge_count": g.edge_count,
         "spectrum": _spectrum_block(dec),
@@ -241,7 +243,7 @@ def spectrum_report(g: Graph, vertex: int | None, tol: ToleranceConfig = DEFAULT
             "values": [float(v) for v in ls.values],
             "local_mults": [float(m) for m in ls.local_mults],
             "local_degree": ls.local_degree,
-            "eccentricity": bfs(g, vertex).eccentricity,
+            "eccentricity": int(distances_from(g, vertex).max()),
         }
         out["predistance"] = {
             "polynomials": [list(p.coeffs) for p in system.polys],
@@ -364,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sp = sub.add_parser("spectrum", help="global spectrum, optionally one vertex's local data")
     _add_graph_input(p_sp)
-    p_sp.add_argument("--vertex", type=int, default=None, help="vertex for local spectrum output")
+    p_sp.add_argument("--vertex", type=int, default=None, help="vertex for local spectrum output; its recurrence "
+                      "is exact, its monomial polynomials a reporting expansion losing accuracy as local degree grows")
     _add_tolerance_flags(p_sp)
     p_sp.set_defaults(func=_cmd_spectrum)
 

@@ -1,5 +1,5 @@
-"""Graph primitives: adjacency storage, the graph6 codec, BFS distance
-partitions, a small generator catalog, and exhaustive enumeration.
+"""Graph primitives: adjacency storage, the graph6 codec, hop distances, a
+small generator catalog, and exhaustive enumeration.
 
 Vertices are dense 0-based integers everywhere. Every structure is frozen
 after construction and safe to share across threads. Disconnected input is
@@ -121,29 +121,16 @@ class Graph:
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceInfo:
-    """Hop distances from ``source`` and the distance partition around it.
-
-    ``cells[i]`` holds the sorted vertices at distance exactly i; the cells
-    partition the vertex set of a connected graph.
-    """
-
-    source: int
-    dist: np.ndarray
-    eccentricity: int
-    cells: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class Bipartition:
     """Two-coloring of a connected bipartite graph.
 
-    ``parts[0]`` is the side containing vertex 0. ``degrees`` holds the
-    sorted degree multiset of each part; ``biregular`` is true when both
-    parts (nonempty) have constant degree.
+    ``side`` is the label row of the two parts: ``side[v]`` is 0 on the part
+    containing vertex 0, else 1. ``degrees`` holds the sorted degree
+    multiset of each part; ``biregular`` is true when both parts (nonempty)
+    have constant degree.
     """
 
-    parts: tuple[np.ndarray, np.ndarray]
+    side: np.ndarray
     degrees: tuple[tuple[int, ...], tuple[int, ...]]
     biregular: bool
 
@@ -250,10 +237,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
 
 def distances_from(g: Graph, u: int) -> np.ndarray:
-    """Row u of ``g.distances``.
+    """Row u of ``g.distances``: the distance partition around u as a label row.
 
-    Raises :class:`ConnectivityError` naming the lowest vertex unreachable
-    from u when the graph is disconnected.
+    Entry v is the cell of v, its distance from u; u's eccentricity is the
+    row's maximum. Raises :class:`ConnectivityError` naming the lowest
+    vertex unreachable from u when the graph is disconnected.
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range for a graph on {g.n} vertices")
@@ -262,17 +250,6 @@ def distances_from(g: Graph, u: int) -> np.ndarray:
         v = int(np.argmin(dist))
         raise ConnectivityError(f"graph is disconnected: vertex {v} is unreachable from {u}", unreachable=v)
     return dist
-
-
-def bfs(g: Graph, u: int) -> DistanceInfo:
-    """Exact hop distances from u and the distance partition around it.
-
-    A view of row u of ``g.distances``; raises as :func:`distances_from`.
-    """
-    dist = distances_from(g, u)
-    ecc = int(dist.max())
-    cells = tuple(np.nonzero(dist == i)[0] for i in range(ecc + 1))
-    return DistanceInfo(source=u, dist=dist, eccentricity=ecc, cells=cells)
 
 
 def distance_matrices(g: Graph) -> list[np.ndarray]:
@@ -401,12 +378,10 @@ def bipartition(g: Graph) -> Bipartition | None:
     parts nonempty with constant degree. Use ``g.bipartition``, which
     computes it once per graph.
     """
-    color = (distances_from(g, 0) % 2).astype(bool)
-    same = g.adjacency & (color[:, None] == color[None, :])
-    if same.any():
+    side = distances_from(g, 0) % 2
+    if (g.adjacency & (side[:, None] == side[None, :])).any():
         return None
-    parts = (np.nonzero(~color)[0], np.nonzero(color)[0])
-    degs = g.degrees
-    degrees = tuple(tuple(sorted(int(d) for d in degs[p])) for p in parts)
-    biregular = all(len(p) > 0 for p in parts) and all(len(set(ds)) == 1 for ds in degrees)
-    return Bipartition(parts=parts, degrees=degrees, biregular=biregular)
+    side.setflags(write=False)
+    degrees = tuple(tuple(sorted(g.degrees[side == p].tolist())) for p in (0, 1))
+    biregular = all(len(set(ds)) == 1 for ds in degrees)
+    return Bipartition(side=side, degrees=degrees, biregular=biregular)

@@ -21,7 +21,6 @@ import numpy as np
 from .graph_core import (
     ConnectivityError,
     Graph,
-    bfs,
     distances_from,
     parse_graph6,
     serialize_graph6,
@@ -63,10 +62,6 @@ class QuotientMatrix:
     """
 
     entries: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
     def tridiagonal(self) -> tuple[tuple[float, float, float], ...]:
         """Per-level triples (down, stay, up) of a distance partition.
@@ -179,51 +174,60 @@ def weighted_distance_column(
     return np.where(dist == level, dec.perron * dec.perron[u], 0.0)
 
 
+def _cell_spread(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Max minus min of ``values`` along axis 0 over each cell of a label row
+    with no empty cell, as one segment reduction over the vertices sorted by cell."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+    block = values[order]
+    return np.maximum.reduceat(block, starts) - np.minimum.reduceat(block, starts)
+
+
 def pseudo_regular_check(
     g: Graph,
     dec: SpectralDecomposition,
-    partition: Sequence[np.ndarray],
+    labels: np.ndarray,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[QuotientMatrix | None, PartitionWitness | None]:
     """Test whether a partition is pseudo-regular under the Perron weights.
 
-    For every vertex u of cell i and every cell j, computes the weighted
-    neighbor count into j. Returns the quotient matrix when the spread over
-    each cell stays within tolerance, otherwise a witness for the first
-    (cell, target) pair that disagrees, scanning cells in order and picking
-    the extreme-valued vertices (lowest id on ties).
+    ``labels[v]`` is the cell of vertex v, 0..m-1, with no cell empty; the
+    distance partition around u is ``distances_from(g, u)``. For every
+    vertex u of cell i and every cell j, computes the weighted neighbor
+    count into j. Returns the quotient matrix when the spread over each cell
+    stays within tolerance, otherwise a witness for the first (cell, target)
+    pair that disagrees, scanning cells in order and picking the
+    extreme-valued vertices (lowest id on ties).
     """
-    cells = [np.asarray(c, dtype=np.int64) for c in partition]
-    if any(len(c) == 0 for c in cells):
+    labels = np.asarray(labels)
+    if labels.shape != (g.n,) or not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
+        raise ValueError("malformed partition: labels must be one non-negative integer per vertex")
+    sizes = np.bincount(labels)
+    if not sizes.all():
         raise ValueError("malformed partition: empty cell")
-    flat = np.concatenate(cells) if cells else np.array([], dtype=np.int64)
-    if len(flat) != g.n or not np.array_equal(np.sort(flat), np.arange(g.n)):
-        raise ValueError("malformed partition: cells must cover every vertex exactly once")
-    m = len(cells)
-    member = np.zeros((g.n, m))
-    for j, c in enumerate(cells):
-        member[c, j] = 1.0
+    m = len(sizes)
     alpha = dec.perron
+    member = (labels[:, None] == np.arange(m)).astype(float)
     flows = (g.adjacency * alpha[None, :]) @ member / alpha[:, None]
-    eps = tol.scaled("eps_pdr", dec.spectral_radius)
-    targets = np.arange(m)
-    for i, cell in enumerate(cells):
-        block = flows[cell]
-        lo, hi = block.argmin(axis=0), block.argmax(axis=0)
-        spread = block[hi, targets] - block[lo, targets]
-        wide = np.flatnonzero(spread > eps)
-        if len(wide):
-            j = int(wide[0])
-            a, b = sorted((int(lo[j]), int(hi[j])))
-            return None, PartitionWitness(
-                cell=i,
-                target=j,
-                vertex_a=int(cell[a]),
-                vertex_b=int(cell[b]),
-                value_a=float(block[a, j]),
-                value_b=float(block[b, j]),
-            )
-    entries = np.stack([flows[cell].mean(axis=0) for cell in cells])
+    wide = np.flatnonzero(_cell_spread(flows, labels) > tol.scaled("eps_pdr", dec.spectral_radius))
+    if len(wide):
+        i, j = divmod(int(wide[0]), m)
+        cell = np.flatnonzero(labels == i)
+        a, b = sorted((int(flows[cell, j].argmin()), int(flows[cell, j].argmax())))
+        return None, PartitionWitness(
+            cell=i,
+            target=j,
+            vertex_a=int(cell[a]),
+            vertex_b=int(cell[b]),
+            value_a=float(flows[cell[a], j]),
+            value_b=float(flows[cell[b], j]),
+        )
+    # Row r of each cell goes to layer r. Summing layer by layer adds a cell's
+    # rows in id order; reduceat adds them in another order, moving last bits.
+    rank = member.cumsum(axis=0)[np.arange(g.n), labels].astype(np.int64) - 1
+    layers = np.zeros((sizes.max(), m, m))
+    layers[rank, labels] = flows
+    entries = layers.sum(axis=0) / sizes[:, None]
     entries.setflags(write=False)
     return QuotientMatrix(entries=entries), None
 
@@ -245,12 +249,13 @@ def is_pdr_around(
     :class:`InternalCheckError` is raised. ``system`` allows reuse of a
     prebuilt predistance system and its local spectrum.
     """
-    info = bfs(g, u)
-    quotient, witness = pseudo_regular_check(g, dec, info.cells, tol)
+    dist = distances_from(g, u)
+    quotient, witness = pseudo_regular_check(g, dec, dist, tol)
     via_partition = quotient is not None
 
     ls = local_spectrum(dec, u, tol) if system is None else system.spectrum
-    extremal = info.eccentricity == ls.local_degree
+    eccentricity = int(dist.max())
+    extremal = eccentricity == ls.local_degree
     via_polynomials = False
     if extremal:
         if system is None:
@@ -273,21 +278,28 @@ def is_pdr_around(
         via_partition=via_partition,
         via_polynomials=via_polynomials,
         extremal=extremal,
-        eccentricity=info.eccentricity,
+        eccentricity=eccentricity,
         spectrum=ls,
         quotient=quotient,
         witness=witness,
     )
 
 
+def _closed_walk_table(dec: SpectralDecomposition, max_length: int) -> np.ndarray:
+    """Spectral closed-walk counts: entry (u, L) is sum_i m_u(lambda_i) lambda_i^L, L <= max_length."""
+    return dec.local_multiplicity_matrix() @ dec.eigenvalues[:, None] ** np.arange(max_length + 1)
+
+
 def walk_formula_check(
     g: Graph,
     dec: SpectralDecomposition,
-    u: int,
-    v: int,
+    u: int | np.ndarray,
+    v: int | np.ndarray,
     length: int,
     powers: list[np.ndarray] | None = None,
-) -> tuple[float, float]:
+    *,
+    table: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the adjacent-pair walk-count formulas at u and v.
 
     For adjacent u, v around both of which the graph is pseudo-distance-
@@ -295,20 +307,26 @@ def walk_formula_check(
     length between them equals
     (perron[v]/perron[u]) / lambda0 * sum_i m_u(lambda_i) lambda_i^(length+1),
     and symmetrically with u and v swapped. Returns both absolute residuals
-    against the exact integer walk count. ``powers`` may carry precomputed
-    integer adjacency powers.
+    against the exact integer walk count, elementwise when u and v are
+    index arrays. ``powers`` may carry precomputed integer adjacency powers
+    and ``table`` the spectral closed-walk table up to length + 1.
     """
-    if not g.adjacency[u, v]:
-        raise ValueError(f"vertices {u} and {v} are not adjacent")
+    u, v = np.broadcast_arrays(u, v)
+    apart = ~g.adjacency[u, v]
+    if apart.any():
+        k = int(np.argmax(apart))
+        raise ValueError(f"vertices {u.flat[k]} and {v.flat[k]} are not adjacent")
     if powers is None:
         powers = adjacency_powers(g, length)
-    truth = float(powers[length][u, v])
-    lam = dec.eigenvalues ** (length + 1)
+    if table is None:
+        table = _closed_walk_table(dec, length + 1)
+    truth = powers[length][u, v].astype(float)
+    spectral = table[:, length + 1]
     alpha = dec.perron
     lam0 = dec.spectral_radius
-    pred_u = (alpha[v] / alpha[u]) / lam0 * float(np.dot(dec.idempotents[:, u, u], lam))
-    pred_v = (alpha[u] / alpha[v]) / lam0 * float(np.dot(dec.idempotents[:, v, v], lam))
-    return abs(truth - pred_u), abs(truth - pred_v)
+    res_u = np.abs(truth - (alpha[v] / alpha[u]) / lam0 * spectral[u])
+    res_v = np.abs(truth - (alpha[u] / alpha[v]) / lam0 * spectral[v])
+    return res_u, res_v
 
 
 def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | None:
@@ -337,13 +355,13 @@ def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig =
     """
     mults = dec.local_multiplicity_matrix()
 
-    def constant_rows(rows: np.ndarray) -> bool:
-        return float(np.max(rows.max(axis=0) - rows.min(axis=0), initial=0.0)) <= tol.eps_mult
+    def constant_on(labels: np.ndarray) -> bool:
+        return float(np.max(_cell_spread(mults, labels))) <= tol.eps_mult
 
-    if constant_rows(mults):
+    if constant_on(np.zeros(g.n, dtype=np.int64)):
         return WALK_REGULAR
     bp = g.bipartition
-    if bp is not None and all(constant_rows(mults[part]) for part in bp.parts if len(part)):
+    if bp is not None and constant_on(bp.side):
         return WALK_BIREGULAR
     return WALK_NEITHER
 
@@ -411,16 +429,16 @@ def classify(
         if wreg != WALK_BIREGULAR:
             raise InternalCheckError("distance-biregular graph is not walk-biregular")
         part_arrays = []
-        for pidx, part in enumerate(bp.parts):
-            cand = {arrays[int(v)] for v in part}
+        for pidx in (0, 1):
+            cand = {arrays[v] for v in np.flatnonzero(bp.side == pidx)}
             if None in cand or len(cand) != 1:
                 raise InternalCheckError(f"part {pidx} of an all-PDR biregular graph has unequal intersection arrays")
             arr = cand.pop()
             part_arrays.append(IntersectionArray(b=arr.b, c=arr.c, a=arr.a, part=pidx))
         d1, d2 = bp.part_degrees
         levels = []
-        for pidx, (part, mine, other) in enumerate(zip(bp.parts, (d1, d2), (d2, d1))):
-            level = _alpha_level(alpha, part, tol.eps_alpha, f"part {pidx}")
+        for pidx, (mine, other) in enumerate(((d1, d2), (d2, d1))):
+            level = _alpha_level(alpha, bp.side == pidx, tol.eps_alpha, f"part {pidx}")
             expected = float(np.sqrt((d1 + d2) / (2.0 * other)))
             if abs(level - expected) > tol.eps_alpha:
                 raise InternalCheckError(
@@ -486,13 +504,11 @@ def perron_transform_consistency(
     array = combinatorial_intersection_array(g, u)
     if array is None:
         raise ValueError(f"vertex {u} is not distance-regular around in the integer sense")
-    info = bfs(g, u)
-    eps_alpha = tol.scaled("eps_alpha", dec.spectral_radius)
-    for i, cell in enumerate(info.cells):
-        vals = dec.perron[cell]
-        if float(vals.max() - vals.min()) > eps_alpha:
-            raise ValueError(f"Perron vector is not constant on distance cell {i} around vertex {u}")
-    quotient, _ = pseudo_regular_check(g, dec, info.cells, tol)
+    dist = distances_from(g, u)
+    wide = np.flatnonzero(_cell_spread(dec.perron, dist) > tol.scaled("eps_alpha", dec.spectral_radius))
+    if len(wide):
+        raise ValueError(f"Perron vector is not constant on distance cell {wide[0]} around vertex {u}")
+    quotient, _ = pseudo_regular_check(g, dec, dist, tol)
     if quotient is None:
         raise InternalCheckError(
             f"vertex {u} satisfies the integer regularity precondition but fails the pseudo-regular check"
@@ -514,7 +530,8 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
     with its integer oracles, and the adjacent-pair walk identities. Returns
     every failed check tagged by name; an empty tuple means the graph
     passed everything. A disconnected graph or a numerical failure is a
-    tagged violation too, so one bad graph never aborts a corpus run.
+    tagged violation too, so one bad graph never aborts a corpus run. Past
+    short graph6 (n > 62) it raises :class:`UnsupportedSizeError`.
     """
     violations: list[Violation] = []
     g6 = serialize_graph6(g)
@@ -547,11 +564,13 @@ def _invariant_suite(
     n = g.n
     powers = adjacency_powers(g, _WALK_CHECK_MAX_LENGTH)
     mults = dec.local_multiplicity_matrix()
+    # The adjacent-pair walk formulas read one length further.
+    table = _closed_walk_table(dec, _WALK_CHECK_MAX_LENGTH + 1)
 
     # Spectral walk identity on the diagonal, exact integer side vs spectral side.
     for length in range(_WALK_CHECK_MAX_LENGTH + 1):
         lhs = np.diag(powers[length]).astype(float)
-        rhs = mults @ dec.eigenvalues**length
+        rhs = table[:, length]
         bound = tol.scaled("eps_walk", lam0, length)
         worst = float(np.max(np.abs(lhs - rhs)))
         if worst > bound:
@@ -619,19 +638,15 @@ def _invariant_suite(
     if all_pdr:
         if cls.verdict not in (VERDICT_DISTANCE_REGULAR, VERDICT_DISTANCE_BIREGULAR):
             violations.append(Violation("dichotomy", f"all-PDR graph classified {cls.verdict}"))
-        # Adjacent-pair walk formulas at every length.
-        edges = np.argwhere(np.triu(g.adjacency, 1))
-        for uu, vv in edges:
-            for length in range(_WALK_CHECK_MAX_LENGTH + 1):
-                res_u, res_v = walk_formula_check(g, dec, int(uu), int(vv), length, powers=powers)
-                bound = tol.scaled("eps_walk", lam0, length)
-                if max(res_u, res_v) > bound:
-                    violations.append(
-                        Violation(
-                            "walk_formula",
-                            f"edge ({uu}, {vv}), length {length}: residual {max(res_u, res_v):.3e}",
-                        )
-                    )
+        # Adjacent-pair walk formulas, all edges per length, reported edge by edge.
+        us, vs = np.nonzero(np.triu(g.adjacency, 1))
+        lengths = range(_WALK_CHECK_MAX_LENGTH + 1)
+        worst = np.transpose([np.maximum(*walk_formula_check(g, dec, us, vs, L, powers, table=table)) for L in lengths])
+        bounds = [tol.scaled("eps_walk", lam0, L) for L in lengths]
+        for e, length in np.argwhere(worst > bounds):
+            violations.append(
+                Violation("walk_formula", f"edge ({us[e]}, {vs[e]}), length {length}: residual {worst[e, length]:.3e}")
+            )
         # Neighbors of a common vertex carry equal Perron entries; unscaled
         # eps_alpha, as for the Perron levels in classify.
         for u in range(n):

@@ -10,12 +10,19 @@ import types
 import pytest
 
 import pdrkit
-from pdrkit import InternalCheckError, generate_named, serialize_graph6
+from pdrkit import InternalCheckError, enumerate_connected, generate_named, serialize_graph6
 from pdrkit.cli import main
 
 # sha256 of the stdout of `pdrkit verify --enumerate 5 --per-graph`. No
 # record holds a real number, so the hash is the same on every platform.
 ENUMERATE_5_SHA256 = "b30efa653b463f07505e917f5070424051dddf03fa00a02b9982ba45acc32f52"
+
+# sha256 of the stdout of `pdrkit analyze G`, concatenated over every
+# connected graph G with n <= 5 in enumeration order. It pins the per-vertex
+# witness and quotient fields, which the verify hash does not cover. Reals
+# render with 12 significant digits, so a different BLAS could in principle
+# move a last digit.
+ANALYZE_5_SHA256 = "de4ccc844c9d0f3b60bd591600f57aa3f7a041a4b464a0ca43a0dfc2df2d9daf"
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +185,16 @@ def test_verify_per_graph_lines(capsys):
     assert record["graph6"] == "A_" and record["verdict"] == "distance_regular"
 
 
+def test_analyze_small_corpus_golden(capsys):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            code, out, err = run_cli(capsys, "analyze", serialize_graph6(g))
+            assert code == 0, err
+            digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == ANALYZE_5_SHA256
+
+
 def test_verify_enumerate_5_golden(capsys):
     code, out, _ = run_cli(capsys, "verify", "--enumerate", "5", "--per-graph")
     assert code == 0
@@ -264,6 +281,16 @@ def test_exit_code_unsupported_size(capsys):
     # 128 vertices exceeds the short graph6 form used in reports.
     code, _, _ = run_cli(capsys, "analyze", "--named", "hypercube:7")
     assert code == 2
+
+
+def test_analyze_past_short_graph6_does_no_spectral_work(capsys, monkeypatch):
+    # n = 63 is past the short graph6 form that the report echoes its input in.
+    called = []
+    for name in ("decompose", "classify"):
+        monkeypatch.setattr(pdrkit.cli, name, lambda *args, _name=name, **kwargs: called.append(_name))
+    code, out, err = run_cli(capsys, "analyze", "--named", "cycle:63")
+    assert code == 2 and out == "" and "62" in err
+    assert called == []
 
 
 def test_verify_violations_exit_1(capsys):

@@ -1,4 +1,4 @@
-"""Graph primitives: graph6 codec, BFS partitions, generators, enumeration."""
+"""Graph primitives: graph6 codec, distance rows, generators, enumeration."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from pdrkit import (
     Graph6Error,
     UnsupportedSizeError,
     adjacency_powers,
-    bfs,
     bipartition,
     distance_matrices,
+    distances_from,
     enumerate_connected,
     generate_named,
     parse_graph6,
@@ -157,7 +157,7 @@ def test_errors_survive_pickling():
         clone = pickle.loads(pickle.dumps(exc))
         assert clone.offset == 1 and str(clone) == str(exc)
     try:
-        bfs(Graph.from_edges(3, [(0, 1)]), 0)
+        distances_from(Graph.from_edges(3, [(0, 1)]), 0)
     except ConnectivityError as exc:
         clone = pickle.loads(pickle.dumps(exc))
         assert clone.unreachable == 2 and str(clone) == str(exc)
@@ -183,44 +183,46 @@ def test_adjacency_is_frozen():
         g.adjacency[0, 1] = False
 
 
-# --- BFS and distance matrices --------------------------------------------
+# --- Breadth-first distance rows and distance matrices -------------------
+#
+# distances_from(g, u) is the distance partition around u as a label row:
+# entry v is the cell of v, and the row's maximum is u's eccentricity.
 
 
 def test_bfs_petersen():
     g = generate_named("petersen")
     for u in range(10):
-        info = bfs(g, u)
-        assert [len(c) for c in info.cells] == [1, 3, 6]
-        assert info.eccentricity == 2
+        row = distances_from(g, u)
+        assert list(np.bincount(row)) == [1, 3, 6]
+        assert row.max() == 2
 
 
 def test_bfs_cycle4_and_k3():
-    info = bfs(generate_named("cycle", 4), 2)
-    assert [len(c) for c in info.cells] == [1, 2, 1]
-    info = bfs(generate_named("complete", 3), 0)
-    assert [len(c) for c in info.cells] == [1, 2] and info.eccentricity == 1
+    assert list(np.bincount(distances_from(generate_named("cycle", 4), 2))) == [1, 2, 1]
+    row = distances_from(generate_named("complete", 3), 0)
+    assert list(np.bincount(row)) == [1, 2] and row.max() == 1
 
 
 def test_bfs_cell_structure():
-    # Every cell member at level i+1 has a neighbor at level i; cells partition V.
+    # Every vertex at level i+1 has a neighbor at level i, none at level i-1
+    # or below; cells 0..eccentricity are all non-empty and {u} is cell 0.
     for n in range(1, 6):
         for g in enumerate_connected(n):
             for u in range(g.n):
-                info = bfs(g, u)
-                assert sum(len(c) for c in info.cells) == g.n
-                if info.eccentricity >= 1:
-                    assert len(info.cells[1]) == g.degree(u)
-                for i in range(1, info.eccentricity + 1):
-                    prev = np.zeros(g.n, dtype=bool)
-                    prev[info.cells[i - 1]] = True
-                    for v in info.cells[i]:
-                        assert (g.adjacency[v] & prev).any()
+                row = distances_from(g, u)
+                sizes = np.bincount(row)
+                assert sizes.all() and sizes.sum() == g.n and list(np.flatnonzero(row == 0)) == [u]
+                if len(sizes) > 1:
+                    assert sizes[1] == g.degree(u)
+                for v in range(g.n):
+                    steps = set((row[g.neighbors(v)] - row[v]).tolist())
+                    assert steps <= {-1, 0, 1} and (row[v] == 0 or -1 in steps)
 
 
 def test_bfs_disconnected_names_unreachable_vertex():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ConnectivityError) as exc:
-        bfs(g, 0)
+        distances_from(g, 0)
     assert exc.value.unreachable == 2
     assert "2" in str(exc.value)
 
@@ -228,7 +230,7 @@ def test_bfs_disconnected_names_unreachable_vertex():
 def test_bfs_disconnected_names_lowest_unreachable_from_source():
     g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
     with pytest.raises(ConnectivityError) as exc:
-        bfs(g, 3)
+        distances_from(g, 3)
     assert exc.value.unreachable == 0
     assert list(g.distances[3]) == [-1, -1, 1, 0, 1]
 
@@ -237,7 +239,7 @@ def test_distance_matrix_is_computed_once_and_frozen():
     g = generate_named("petersen")
     assert g.distances is g.distances
     assert not g.distances.flags.writeable
-    assert bfs(g, 4).dist.base is g.distances
+    assert distances_from(g, 4).base is g.distances
 
 
 # Connected members of every catalog family, up to the largest it builds.
@@ -376,18 +378,18 @@ def test_bipartition_examples():
     assert bipartition(generate_named("cycle", 5)) is None
 
     bp = bipartition(generate_named("complete_bipartite", 2, 3))
-    assert tuple(len(p) for p in bp.parts) == (2, 3)
+    assert tuple(np.bincount(bp.side)) == (2, 3)
     assert bp.biregular and bp.part_degrees == (3, 2)
 
     bp = bipartition(generate_named("path", 4))
-    assert tuple(len(p) for p in bp.parts) == (2, 2)
+    assert tuple(np.bincount(bp.side)) == (2, 2)
     assert bp.degrees == ((1, 2), (1, 2))
     assert not bp.biregular and bp.part_degrees is None
 
 
 def test_bipartition_part_zero_first():
     bp = bipartition(generate_named("path", 3))
-    assert 0 in bp.parts[0]
+    assert bp.side[0] == 0
 
 
 def test_bipartition_matches_odd_walk_criterion():
@@ -400,6 +402,7 @@ def test_bipartition_matches_odd_walk_criterion():
             if bipartition(g) is not None:
                 bp = bipartition(g)
                 cross = g.adjacency.copy()
-                for part in bp.parts:
+                for p in (0, 1):
+                    part = np.flatnonzero(bp.side == p)
                     cross[np.ix_(part, part)] = False
                 assert cross.sum() == 2 * g.edge_count

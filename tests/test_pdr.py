@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from pdrkit import (
+    DEFAULT_TOL,
     Graph,
     IllConditionedMeasureError,
     InternalCheckError,
     QuotientMatrix,
+    ToleranceConfig,
     VERDICT_DISTANCE_BIREGULAR,
     VERDICT_DISTANCE_REGULAR,
     VERDICT_NOT_PDR,
@@ -19,10 +21,10 @@ from pdrkit import (
     WALK_NEITHER,
     WALK_REGULAR,
     adjacency_powers,
-    bfs,
     classify,
     combinatorial_intersection_array,
     decompose,
+    distances_from,
     enumerate_connected,
     perron_transform_consistency,
     generate_named,
@@ -73,8 +75,7 @@ def test_weighted_column_level_zero_and_range():
 
 def test_pseudo_regular_c4_distance_partition():
     g, dec = prepared(generate_named("cycle", 4))
-    info = bfs(g, 0)
-    quotient, witness = pseudo_regular_check(g, dec, info.cells)
+    quotient, witness = pseudo_regular_check(g, dec, distances_from(g, 0))
     assert witness is None
     triples = quotient.tridiagonal()
     assert np.allclose(triples, [(0.0, 0.0, 2.0), (1.0, 0.0, 1.0), (2.0, 0.0, 0.0)], atol=1e-10)
@@ -83,8 +84,7 @@ def test_pseudo_regular_c4_distance_partition():
 def test_pseudo_regular_star_center_partition():
     # Star with two leaves: weighted flows collapse to the spectral radius sqrt(2).
     g, dec = prepared(generate_named("complete_bipartite", 1, 2))
-    cells = (np.array([0]), np.array([1, 2]))
-    quotient, witness = pseudo_regular_check(g, dec, cells)
+    quotient, witness = pseudo_regular_check(g, dec, np.array([0, 1, 1]))
     assert witness is None
     assert quotient.entries[0, 1] == pytest.approx(np.sqrt(2), abs=1e-12)  # center outflow
     assert quotient.entries[1, 0] == pytest.approx(np.sqrt(2), abs=1e-12)  # leaf upflow
@@ -94,8 +94,7 @@ def test_pseudo_regular_star_center_partition():
 def test_pseudo_regular_p4_witness():
     # Perron vector of the 4-path is proportional to (1, phi, phi, 1).
     g, dec = prepared(generate_named("path", 4))
-    info = bfs(g, 1)
-    quotient, witness = pseudo_regular_check(g, dec, info.cells)
+    quotient, witness = pseudo_regular_check(g, dec, distances_from(g, 1))
     assert quotient is None
     assert (witness.cell, witness.target) == (1, 0)
     assert (witness.vertex_a, witness.vertex_b) == (0, 2)
@@ -106,21 +105,59 @@ def test_pseudo_regular_p4_witness():
 
 def test_pseudo_regular_rejects_malformed_partition():
     g, dec = prepared(generate_named("cycle", 4))
-    with pytest.raises(ValueError):
-        pseudo_regular_check(g, dec, (np.array([0, 1]), np.array([1, 2, 3])))
-    with pytest.raises(ValueError):
-        pseudo_regular_check(g, dec, (np.array([0, 1]),))
-    with pytest.raises(ValueError):
-        pseudo_regular_check(g, dec, (np.array([0, 1, 2, 3]), np.array([], dtype=int)))
+    with pytest.raises(ValueError, match="one non-negative integer per vertex"):
+        pseudo_regular_check(g, dec, np.array([0, 1, 1]))  # wrong length
+    with pytest.raises(ValueError, match="one non-negative integer per vertex"):
+        pseudo_regular_check(g, dec, np.array([0, -1, 1, 1]))  # negative label
+    with pytest.raises(ValueError, match="empty cell"):
+        pseudo_regular_check(g, dec, np.array([0, 2, 2, 2]))  # label 1 skipped
 
 
 def test_quotient_rows_sum_to_radius():
     for g in [generate_named("petersen"), generate_named("complete_bipartite", 2, 3)]:
         dec = decompose(g)
-        info = bfs(g, 0)
-        quotient, _ = pseudo_regular_check(g, dec, info.cells)
+        quotient, _ = pseudo_regular_check(g, dec, distances_from(g, 0))
         sums = quotient.entries.sum(axis=1)
         assert np.max(np.abs(sums - dec.spectral_radius)) < 1e-9
+
+
+def reference_partition_check(g, dec, labels, eps):
+    # Plain loops, one cell at a time: the first (cell, target) pair whose
+    # spread exceeds eps, its extreme vertices (lowest id on ties) in id
+    # order, else the quotient of cell-by-cell means.
+    alpha = dec.perron
+    cells = [np.flatnonzero(labels == i) for i in range(labels.max() + 1)]
+    flows = (g.adjacency * alpha[None, :]) @ (labels[:, None] == np.arange(len(cells))).astype(float) / alpha[:, None]
+    for i, cell in enumerate(cells):
+        for j in range(len(cells)):
+            col = flows[cell, j]
+            if col.max() - col.min() > eps:
+                a, b = sorted((int(col.argmin()), int(col.argmax())))
+                return None, (i, j, int(cell[a]), int(cell[b]), float(col[a]), float(col[b]))
+    return np.stack([flows[cell].mean(axis=0) for cell in cells]), None
+
+
+def test_partition_check_matches_loop_reference():
+    # Distance partitions of every n <= 5 graph and of large-cell catalog
+    # graphs, plus seeded random label rows: the same witnesses, and
+    # quotients equal to the last bit.
+    rng = np.random.default_rng(7)
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [generate_named(*s) for s in [("complete", 30), ("complete_bipartite", 10, 20), ("hypercube", 5)]]
+    for g in graphs:
+        dec = decompose(g)
+        eps = DEFAULT_TOL.scaled("eps_pdr", dec.spectral_radius)
+        rows = [distances_from(g, u) for u in range(g.n)]
+        rows += [np.unique(rng.integers(0, 3, g.n), return_inverse=True)[1] for _ in range(2)]
+        for labels in rows:
+            quotient, witness = pseudo_regular_check(g, dec, labels)
+            want_entries, want_witness = reference_partition_check(g, dec, labels, eps)
+            if want_witness is None:
+                assert witness is None and quotient.entries.tobytes() == want_entries.tobytes()
+            else:
+                assert quotient is None
+                got = (witness.cell, witness.target, witness.vertex_a, witness.vertex_b)
+                assert got + (witness.value_a, witness.value_b) == want_witness
 
 
 # --- per-vertex reports ---------------------------------------------------------
@@ -200,6 +237,33 @@ def test_walk_formula_requires_adjacency():
     g, dec = prepared(generate_named("cycle", 4))
     with pytest.raises(ValueError):
         walk_formula_check(g, dec, 0, 2, 3)
+    with pytest.raises(ValueError, match="vertices 0 and 2 are not adjacent"):
+        walk_formula_check(g, dec, np.array([0, 0]), np.array([1, 2]), 3)
+
+
+@pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
+def test_walk_formula_index_arrays_match_scalar_calls(spec):
+    g, dec = prepared(generate_named(*spec))
+    us, vs = np.nonzero(np.triu(g.adjacency, 1))
+    for length in range(7):
+        res_u, res_v = walk_formula_check(g, dec, us, vs, length)
+        scalar = [walk_formula_check(g, dec, int(u), int(v), length) for u, v in zip(us, vs)]
+        assert list(zip(res_u.tolist(), res_v.tolist())) == scalar
+
+
+def test_walk_formula_violations_edge_major():
+    # A walk tolerance far below rounding makes the formulas fail; the suite
+    # must report them edge by edge, as one scalar call per (edge, length) would.
+    g, dec = prepared(generate_named("complete_bipartite", 2, 3))
+    tol = ToleranceConfig(eps_walk=1e-30)
+    got = [v.detail for v in verify_graph(g, tol).violations if v.check == "walk_formula"]
+    want = []
+    for u, v in np.argwhere(np.triu(g.adjacency, 1)):
+        for length in range(7):
+            res = max(walk_formula_check(g, dec, int(u), int(v), length))
+            if res > tol.scaled("eps_walk", dec.spectral_radius, length):
+                want.append(f"edge ({u}, {v}), length {length}: residual {res:.3e}")
+    assert got and got == want
 
 
 # --- combinatorial oracle ---------------------------------------------------------
@@ -395,7 +459,7 @@ def test_transform_rejects_nonconstant_cells():
         idempotents=dec.idempotents,
         perron=skew,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distance cell 1 around vertex 0"):
         perron_transform_consistency(g, doctored, 0)
 
 
@@ -509,9 +573,10 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
         (graph_core, "all_pairs_distances", lambda args: None),
         (graph_core, "bipartition", lambda args: None),
         (pdr, "local_spectrum", lambda args: args[1]),
-        (pdr, "pseudo_regular_check", lambda args: int(args[2][0][0])),
+        (pdr, "pseudo_regular_check", lambda args: int(np.flatnonzero(args[2] == 0)[0])),
         (pdr, "combinatorial_intersection_array", lambda args: args[1]),
         (pdr, "build_predistance", lambda args: args[0].vertex),
+        (pdr, "walk_formula_check", lambda args: None),
         (cli, "local_spectrum", lambda args: args[1]),
         (cli, "build_predistance", lambda args: args[0].vertex),
     ]
@@ -532,3 +597,5 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
         per_vertex = {u: calls[name, u] for u in range(g.n)}
         assert max(per_vertex.values()) <= 1, (name, per_vertex)
     assert calls["combinatorial_intersection_array", 0] == 1  # the all-PDR branch ran
+    # One call per walk length, over all edges at once.
+    assert calls["walk_formula_check", None] == (7 if entry is _verify else 0)
