@@ -44,7 +44,7 @@ from .spectral import (
     local_spectrum,
 )
 from .predistance import build_predistance
-from .pdr import InternalCheckError, classify, is_pdr_around, verify_graph
+from .pdr import InternalCheckError, _vertex_pass, classify, verify_graph
 
 # The ToleranceConfig fields the CLI exposes, with their help texts. Field
 # eps_X is set by --eps-X, falling back to the PDRKIT_EPS_X variable.
@@ -127,8 +127,9 @@ def _tolerances(args) -> ToleranceConfig:
     return ToleranceConfig(**values) if values else DEFAULT_TOL
 
 
-def _read_corpus(path: str) -> list[str]:
-    """graph6 strings from a one-graph-per-line file; '#' lines and blanks skipped."""
+def _read_corpus(path: str) -> list[tuple[int, str]]:
+    """(line number, graph6 string) pairs from a one-graph-per-line file;
+    '#' lines and blanks skipped, line numbers counted from 1."""
     out = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -197,7 +198,7 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     graph6 (n > 62) it raises :class:`UnsupportedSizeError` before any spectral work."""
     g6 = serialize_graph6(g)
     dec = decompose(g, tol)
-    reports = [is_pdr_around(g, dec, u, tol) for u in range(g.n)]
+    reports = _vertex_pass(g, dec, tol)
     cls = classify(g, tol, dec=dec, reports=reports)
     per_vertex = []
     for r in reports:
@@ -226,10 +227,12 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
 
 
 def spectrum_report(g: Graph, vertex: int | None, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Global spectrum, plus the local spectrum and polynomials of one vertex."""
+    """Global spectrum, plus the local spectrum and polynomials of one vertex;
+    past short graph6 (n > 62) it raises :class:`UnsupportedSizeError` before any spectral work."""
+    g6 = serialize_graph6(g)
     dec = decompose(g, tol)
     out = {
-        "input": serialize_graph6(g),
+        "input": g6,
         "n": g.n,
         "spectrum": _spectrum_block(dec),
     }
@@ -325,12 +328,14 @@ def _cmd_verify(args) -> int:
                 print(_render_json(record))
 
     items = [(s, tol) for s in sources]
-    if args.jobs <= 1:
+    # The pool starts all its workers at once, so never more than there are graphs.
+    jobs = min(args.jobs, len(items))
+    if jobs <= 1:
         consume(map(_verify_one, items))
     else:
         # Workers stream results back in input order, so output stays deterministic.
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            consume(pool.map(_verify_one, items, chunksize=max(1, len(items) // (8 * args.jobs))))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            consume(pool.map(_verify_one, items, chunksize=max(1, len(items) // (8 * jobs))))
     print(_render_json(counts))
     return 1 if counts["violations"] else 0
 

@@ -14,6 +14,7 @@ verdicts are re-verified against exact integer counting oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +32,12 @@ from .spectral import (
     NumericalError,
     SpectralDecomposition,
     ToleranceConfig,
+    _clamped_local_mults,
+    _local_spectrum,
     adjacency_powers,
     decompose,
-    local_spectrum,
 )
-from .predistance import PredistanceSystem, build_predistance
+from .predistance import PredistanceSystem, _PredistanceBlock, _predistance_block, _run_recurrence
 
 VERDICT_DISTANCE_REGULAR = "distance_regular"
 VERDICT_DISTANCE_BIREGULAR = "distance_biregular"
@@ -67,8 +69,13 @@ class QuotientMatrix:
         """Per-level triples (down, stay, up) of a distance partition.
 
         Level i reads (entries[i, i-1], entries[i, i], entries[i, i+1]) with
-        zeros at the ends. Raises if any off-band entry is nonzero.
+        zeros at the ends. Raises if any off-band entry is nonzero. The
+        triples are computed on the first call and kept.
         """
+        return self._triples
+
+    @cached_property
+    def _triples(self) -> tuple[tuple[float, float, float], ...]:
         e = self.entries
         if np.any(np.triu(e, 2)) or np.any(np.tril(e, -2)):
             raise ValueError("quotient matrix is not tridiagonal")
@@ -174,13 +181,83 @@ def weighted_distance_column(
     return np.where(dist == level, dec.perron * dec.perron[u], 0.0)
 
 
-def _cell_spread(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Max minus min of ``values`` along axis 0 over each cell of a label row
-    with no empty cell, as one segment reduction over the vertices sorted by cell."""
+def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = None) -> np.ndarray:
+    """Max minus min of ``values`` along axis 0 over each cell of a label row.
+
+    Row c of the result belongs to cell c, of ``cells`` (default: one past
+    the largest label); an empty cell reads zero. One segment reduction
+    over the vertices sorted by cell.
+    """
     order = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+    ordered = labels[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     block = values[order]
-    return np.maximum.reduceat(block, starts) - np.minimum.reduceat(block, starts)
+    present = np.maximum.reduceat(block, starts)
+    present -= np.minimum.reduceat(block, starts)
+    del block
+    spread = np.zeros((int(ordered[-1]) + 1 if cells is None else cells, *values.shape[1:]))
+    spread[ordered[starts]] = present
+    return spread
+
+
+def _partition_rows(
+    g: Graph,
+    dec: SpectralDecomposition,
+    labels: np.ndarray,
+    tol: ToleranceConfig,
+) -> tuple[list[QuotientMatrix | None], list[PartitionWitness | None]]:
+    """:func:`pseudo_regular_check` on every row of a (B, n) block of label rows.
+
+    The flows of all rows come from one stacked matrix product and their
+    spreads from one segment reduction over (row, cell); only the rows that
+    pass get a quotient, and only the others a witness.
+    """
+    B, n = labels.shape
+    m = int(labels.max()) + 1
+    alpha = dec.perron
+    flows = (g.adjacency * alpha[None, :]) @ (labels[:, :, None] == np.arange(m)).astype(float)
+    flows /= alpha[:, None]
+    key = (labels + m * np.arange(B)[:, None]).ravel()  # (row, cell) as one label
+    spread = _cell_spread(flows.reshape(B * n, m), key, B * m)
+    wide = spread.reshape(B, m * m) > tol.scaled("eps_pdr", dec.spectral_radius)
+    del spread
+    failing = wide.any(axis=1)
+    quotients: list[QuotientMatrix | None] = [None] * B
+    witnesses: list[PartitionWitness | None] = [None] * B
+
+    # The first wide (cell, target) pair of each failing row, scanning cells
+    # in order, and the cell's extreme vertices (lowest id on ties).
+    rows = np.flatnonzero(failing)
+    cell, target = np.divmod(wide[rows].argmax(axis=1), m)
+    col = flows[rows, :, target]
+    inside = labels[rows] == cell[:, None]
+    lo = np.where(inside, col, np.inf).argmin(axis=1)
+    hi = np.where(inside, col, -np.inf).argmax(axis=1)
+    first, last = np.minimum(lo, hi), np.maximum(lo, hi)
+    pick = np.arange(len(rows))
+    found = zip(rows.tolist(), cell.tolist(), target.tolist(), first.tolist(), last.tolist())
+    for (r, i, j, a, b), fa, fb in zip(found, col[pick, first].tolist(), col[pick, last].tolist()):
+        witnesses[r] = PartitionWitness(cell=i, target=j, vertex_a=a, vertex_b=b, value_a=fa, value_b=fb)
+
+    # Each cell's rows are added one at a time in id order, rank r of every
+    # cell in one step, so each entry is bit for bit the mean over the cell's
+    # members taken in order; np.add.reduceat adds in another order.
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    rank = np.empty(B * n, dtype=np.int64)
+    rank[order] = np.arange(B * n) - np.searchsorted(ordered, ordered)
+    rank = np.where(failing[:, None], -1, rank.reshape(B, n))
+    total = np.zeros((B, m, m))
+    for r in range(int(rank.max()) + 1):
+        b, v = np.nonzero(rank == r)
+        total[b, labels[b, v]] += flows[b, v]
+    total /= np.maximum(np.bincount(key, minlength=B * m), 1).reshape(B, m, 1)
+    cells = (labels.max(axis=1) + 1).tolist()
+    for r in np.flatnonzero(~failing).tolist():
+        entries = total[r, : cells[r], : cells[r]].copy()
+        entries.setflags(write=False)
+        quotients[r] = QuotientMatrix(entries=entries)
+    return quotients, witnesses
 
 
 def pseudo_regular_check(
@@ -202,34 +279,10 @@ def pseudo_regular_check(
     labels = np.asarray(labels)
     if labels.shape != (g.n,) or not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
         raise ValueError("malformed partition: labels must be one non-negative integer per vertex")
-    sizes = np.bincount(labels)
-    if not sizes.all():
+    if not np.bincount(labels).all():
         raise ValueError("malformed partition: empty cell")
-    m = len(sizes)
-    alpha = dec.perron
-    member = (labels[:, None] == np.arange(m)).astype(float)
-    flows = (g.adjacency * alpha[None, :]) @ member / alpha[:, None]
-    wide = np.flatnonzero(_cell_spread(flows, labels) > tol.scaled("eps_pdr", dec.spectral_radius))
-    if len(wide):
-        i, j = divmod(int(wide[0]), m)
-        cell = np.flatnonzero(labels == i)
-        a, b = sorted((int(flows[cell, j].argmin()), int(flows[cell, j].argmax())))
-        return None, PartitionWitness(
-            cell=i,
-            target=j,
-            vertex_a=int(cell[a]),
-            vertex_b=int(cell[b]),
-            value_a=float(flows[cell[a], j]),
-            value_b=float(flows[cell[b], j]),
-        )
-    # Row r of each cell goes to layer r. Summing layer by layer adds a cell's
-    # rows in id order; reduceat adds them in another order, moving last bits.
-    rank = member.cumsum(axis=0)[np.arange(g.n), labels].astype(np.int64) - 1
-    layers = np.zeros((sizes.max(), m, m))
-    layers[rank, labels] = flows
-    entries = layers.sum(axis=0) / sizes[:, None]
-    entries.setflags(write=False)
-    return QuotientMatrix(entries=entries), None
+    (quotient,), (witness,) = _partition_rows(g, dec, labels[None, :], tol)
+    return quotient, witness
 
 
 def is_pdr_around(
@@ -247,42 +300,223 @@ def is_pdr_around(
     p_i(A)e_u, run from the recurrence, must reproduce the weighted distance
     column for every level. The two verdicts must agree or
     :class:`InternalCheckError` is raised. ``system`` allows reuse of a
-    prebuilt predistance system and its local spectrum.
+    prebuilt predistance system and its local spectrum. The one-vertex case
+    of the vertex pass that :func:`classify` runs.
     """
-    dist = distances_from(g, u)
-    quotient, witness = pseudo_regular_check(g, dec, dist, tol)
-    via_partition = quotient is not None
+    distances_from(g, u)  # validates u and connectivity
+    (report,) = _vertex_block(g, dec, np.array([u]), tol, system=system)
+    return report
 
-    ls = local_spectrum(dec, u, tol) if system is None else system.spectrum
-    eccentricity = int(dist.max())
-    extremal = eccentricity == ls.local_degree
-    via_polynomials = False
-    if extremal:
-        if system is None:
-            system = build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
-        eps = tol.scaled("eps_pdr", dec.spectral_radius)
-        # Extremal: the polynomial degrees run over exactly the levels 0..ecc.
-        via_polynomials = all(
-            float(np.max(np.abs(col - weighted_distance_column(g, dec, u, level)))) <= eps
-            for level, col in enumerate(system.columns(g))
-        )
 
-    if via_partition != via_polynomials:
-        raise InternalCheckError(
-            f"characterizations disagree at vertex {u}: "
-            f"partition={via_partition} polynomials={via_polynomials}"
+# The vertex pass takes max(1, _BLOCK_ENTRIES // n^2) vertices at a time, so
+# that none of its arrays holds more float64 entries than this (past n = 90
+# a single vertex does), and every n <= 6 graph is one block.
+_BLOCK_ENTRIES = 2**13
+
+
+def _vertex_pass(
+    g: Graph,
+    dec: SpectralDecomposition,
+    tol: ToleranceConfig,
+    violations: list[Violation] | None = None,
+) -> list[PdrVertexReport | None]:
+    """Both characterizations at every vertex, as array operations over blocks of vertices.
+
+    Without ``violations`` this is :func:`is_pdr_around` at each vertex in
+    turn: the first vertex in order with a numerical error or a
+    disagreement raises it. With ``violations`` it is the per-vertex part of
+    :func:`verify_graph`: every vertex also gets its predistance contract
+    checked, violations are appended in vertex order, a disagreement
+    becomes an ``equivalence`` violation and a None report, and a
+    numerical error at a vertex is raised after the violations of the
+    vertices before it.
+    """
+    size = max(1, _BLOCK_ENTRIES // g.n**2)
+    reports: list[PdrVertexReport | None] = []
+    for start in range(0, g.n, size):
+        reports += _vertex_block(g, dec, np.arange(start, min(g.n, start + size)), tol, violations)
+    return reports
+
+
+def _vertex_block(
+    g: Graph,
+    dec: SpectralDecomposition,
+    vertices: np.ndarray,
+    tol: ToleranceConfig,
+    violations: list[Violation] | None = None,
+    system: PredistanceSystem | None = None,
+) -> list[PdrVertexReport | None]:
+    """:func:`_vertex_pass` on one block of vertices; ``system`` stands in
+    for the local spectrum and predistance family of a one-vertex block."""
+    lam0 = dec.spectral_radius
+    if system is None:
+        mults, local_errors = _clamped_local_mults(dec, vertices, tol)
+        spectra = [_local_spectrum(dec, u, row) for u, row in zip(vertices.tolist(), mults)]
+        # Each row's support moved to its front, in decreasing order.
+        present = mults > 0
+        sizes = present.sum(axis=1)
+        width = max(1, int(sizes.max()))
+        order = np.argsort(~present, axis=1, kind="stable")[:, :width]
+        kept = np.arange(width) < sizes[:, None]
+        support = np.where(kept, dec.eigenvalues[order], 0.0)
+        weights = np.where(kept, mults[np.arange(len(vertices))[:, None], order], 0.0)
+        block = _predistance_block(vertices, support, weights, sizes, lam0, dec.perron[vertices])
+    else:
+        spectra, local_errors, block = [system.spectrum], [None], _PredistanceBlock.of_system(system)
+
+    dist = g.distances[vertices]
+    ecc = dist.max(axis=1)
+    quotients, witnesses = _partition_rows(g, dec, dist, tol)
+    extremal = ecc == block.sizes - 1
+    eps = tol.scaled("eps_pdr", lam0)
+    via_polynomials = np.zeros(len(vertices), dtype=bool)
+    ran = np.flatnonzero(extremal & np.array([e is None for e in block.errors]))
+    if len(ran):
+        gap = _polynomial_gap(
+            g, dec, vertices[ran], block.vals[ran, 0, 0], block.prev[ran], block.same[ran], block.nxt[ran]
         )
-    return PdrVertexReport(
-        vertex=u,
-        is_pdr=via_partition,
-        via_partition=via_partition,
-        via_polynomials=via_polynomials,
-        extremal=extremal,
-        eccentricity=eccentricity,
-        spectrum=ls,
-        quotient=quotient,
-        witness=witness,
-    )
+        via_polynomials[ran] = gap <= eps
+    contract = _contract_violations(g, dec, block, tol.eps_orth) if violations is not None else None
+    level_triples = block.level_triples()
+
+    reports: list[PdrVertexReport | None] = []
+    for b, u in enumerate(vertices.tolist()):
+        if local_errors[b] is not None:
+            raise local_errors[b]
+        # Outside verify_graph a family's error counts only at an extremal
+        # vertex, the only kind at which is_pdr_around needs the family.
+        if block.errors[b] is not None and (violations is not None or extremal[b]):
+            raise block.errors[b]
+        if violations is not None:
+            violations += contract[b]
+        via_partition = quotients[b] is not None
+        if via_partition != via_polynomials[b]:
+            exc = InternalCheckError(
+                f"characterizations disagree at vertex {u}: "
+                f"partition={via_partition} polynomials={bool(via_polynomials[b])}"
+            )
+            if violations is None:
+                raise exc
+            violations.append(Violation("equivalence", str(exc)))
+            reports.append(None)
+            continue
+        report = PdrVertexReport(
+            vertex=u,
+            is_pdr=via_partition,
+            via_partition=via_partition,
+            via_polynomials=bool(via_polynomials[b]),
+            extremal=bool(extremal[b]),
+            eccentricity=int(ecc[b]),
+            spectrum=spectra[b],
+            quotient=quotients[b],
+            witness=witnesses[b],
+        )
+        reports.append(report)
+        if violations is None or not report.is_pdr:
+            continue
+        if not report.extremal:
+            violations.append(Violation("extremality", f"vertex {u} is pseudo-distance-regular but not extremal"))
+        triples = report.quotient.tridiagonal()
+        # Bare eps_pdr, stricter than the scaled spread threshold; kept
+        # unscaled so that this gate is not loosened.
+        sum_res = max(abs(sum(t) - lam0) for t in triples)
+        if sum_res > tol.eps_pdr:
+            violations.append(Violation("sum_rule", f"vertex {u}: residual {sum_res:.3e}"))
+        four_res = float(np.max(np.abs(np.subtract(triples, level_triples[b, : block.sizes[b]]))))
+        if four_res > eps:
+            violations.append(
+                Violation("fourier_match", f"vertex {u}: quotient vs recurrence residual {four_res:.3e}")
+            )
+    return reports
+
+
+def _polynomial_gap(
+    g: Graph,
+    dec: SpectralDecomposition,
+    vertices: np.ndarray,
+    p0: np.ndarray,
+    prev: np.ndarray,
+    same: np.ndarray,
+    nxt: np.ndarray,
+) -> np.ndarray:
+    """Largest entry gap, over every level, between the column p_i(A)e_u and
+    the Perron-weighted distance column of u at level i, for each vertex u.
+
+    The recurrence runs on all unit columns at once. The vertices are
+    extremal, so the degrees 0..local degree are the levels 0..eccentricity;
+    past them a column and its target are both zero.
+    """
+    alpha = dec.perron
+    dist = g.distances[vertices].T
+    weighted = alpha[:, None] * alpha[vertices]
+    A = g.adjacency_matrix()
+    unit = (np.arange(g.n)[:, None] == vertices).astype(float)
+    gap = np.zeros(len(vertices))
+    for level, cols in enumerate(_run_recurrence(unit, p0, prev, same, nxt, lambda v: A @ v)):
+        gap = np.maximum(gap, np.abs(cols - np.where(dist == level, weighted, 0.0)).max(axis=0))
+    return gap
+
+
+def _contract_violations(
+    g: Graph,
+    dec: SpectralDecomposition,
+    block: _PredistanceBlock,
+    eps: float,
+) -> list[list[Violation]]:
+    """Orthogonality, normalization, closed forms, and recurrence residuals
+    of every row of a predistance block; row b's violations in that order."""
+    lam0 = dec.spectral_radius
+    vals, weights, support = block.vals, block.weights, block.support
+    alpha2 = dec.perron[block.vertices] ** 2
+    # Block-sized temporaries are reused in place to bound the peak memory.
+    gram = (vals * weights[:, None, :]) @ vals.transpose(0, 2, 1)
+    norms2 = np.diagonal(gram, axis1=1, axis2=2).copy()
+    diagonal = np.arange(gram.shape[1])
+    gram[:, diagonal, diagonal] = 0.0
+    scale = norms2[:, :, None] * norms2[:, None, :]
+    np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
+    worst_orth = np.divide(np.abs(gram, out=gram), scale, out=gram).max(axis=(1, 2))
+    del gram, scale
+
+    lam0_vals = vals[:, :, 0]
+    norm_res = (np.abs(norms2 - alpha2[:, None] * lam0_vals) / np.maximum(1.0, np.abs(norms2))).max(axis=1)
+    valid = np.arange(vals.shape[1]) < block.sizes[:, None]
+    norm_bad = (norm_res > eps) | ((lam0_vals <= 0) & valid).any(axis=1)
+
+    # p_0 is constant and p_1 = (p_0 / next_0) (x - same_0).
+    p0 = lam0_vals[:, 0]
+    ok = np.abs(p0 - alpha2) <= eps * np.maximum(1.0, alpha2)
+    degree = g.degrees[block.vertices]
+    linear = block.sizes > 1
+    expected = np.divide(alpha2 * lam0, degree, out=np.zeros_like(alpha2), where=linear & (degree > 0))
+    lead = np.divide(p0, block.nxt[:, 0], out=np.zeros_like(p0), where=linear & (block.nxt[:, 0] != 0))
+    bound = eps * np.maximum(1.0, expected)
+    ok &= ~linear | ((np.abs(lead * block.same[:, 0]) <= bound) & (np.abs(lead - expected) <= bound))
+
+    # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support,
+    # with the zero end coefficients dropping p_{-1} and p_{k}. The last row
+    # is the Golub-Welsch closure: the Krylov space ends at local degree + 1.
+    xp = vals * support[:, None, :]
+    combo = block.same[:, :, None] * vals
+    combo[:, 1:] += block.prev[:, 1:, None] * vals[:, :-1]
+    combo[:, :-1] += block.nxt[:, :-1, None] * vals[:, 1:]
+    res = np.sqrt(np.square(np.subtract(xp, combo, out=combo), out=combo) @ weights[:, :, None])[:, :, 0]
+    ref = np.sqrt(np.square(xp, out=xp) @ weights[:, :, None])[:, :, 0]
+    del xp, combo
+    bad = res > eps * np.maximum(1.0, ref)
+
+    out: list[list[Violation]] = [[] for _ in block.vertices]
+    vertex = block.vertices.tolist()
+    for b in np.flatnonzero(worst_orth > eps):
+        out[b].append(Violation("pd_orthogonality", f"vertex {vertex[b]}: relative residual {worst_orth[b]:.3e}"))
+    for b in np.flatnonzero(norm_bad):
+        out[b].append(Violation("pd_normalization", f"vertex {vertex[b]}: residual {norm_res[b]:.3e}"))
+    for b in np.flatnonzero(~ok):
+        out[b].append(Violation("pd_closed_forms", f"vertex {vertex[b]}: constant or degree-one polynomial off"))
+    for b in np.flatnonzero(bad.any(axis=1)):
+        i = int(np.argmax(bad[b]))
+        out[b].append(Violation("pd_recurrence", f"vertex {vertex[b]}, index {i}: residual {res[b, i]:.3e}"))
+    return out
 
 
 def _closed_walk_table(dec: SpectralDecomposition, max_length: int) -> np.ndarray:
@@ -394,7 +628,7 @@ def classify(
     if dec is None:
         dec = decompose(g, tol)
     if reports is None:
-        reports = [is_pdr_around(g, dec, u, tol) for u in range(g.n)]
+        reports = _vertex_pass(g, dec, tol)
     wreg = walk_regularity(g, dec, tol)
 
     failing = [r.vertex for r in reports if not r.is_pdr]
@@ -598,34 +832,8 @@ def _invariant_suite(
         violations.append(Violation("idempotents", f"residual {idem_res:.3e}"))
 
     # Per-vertex: predistance contract, both PDR characterizations.
-    reports: list[PdrVertexReport] = []
-    eps_pdr_scaled = tol.scaled("eps_pdr", lam0)
-    equivalence_failed = False
-    for u in range(n):
-        system = build_predistance(local_spectrum(dec, u, tol), lam0, float(alpha[u]))
-        _check_predistance_contract(g, system, lam0, float(alpha[u]), tol.eps_orth, violations)
-        try:
-            report = is_pdr_around(g, dec, u, tol, system=system)
-        except InternalCheckError as exc:
-            violations.append(Violation("equivalence", str(exc)))
-            equivalence_failed = True
-            continue
-        reports.append(report)
-        if report.is_pdr and not report.extremal:
-            violations.append(Violation("extremality", f"vertex {u} is pseudo-distance-regular but not extremal"))
-        if report.is_pdr:
-            # Bare eps_pdr, stricter than the scaled spread threshold; kept
-            # unscaled so that this gate is not loosened.
-            sum_res = max(abs(sum(t) - lam0) for t in report.quotient.tridiagonal())
-            if sum_res > tol.eps_pdr:
-                violations.append(Violation("sum_rule", f"vertex {u}: residual {sum_res:.3e}"))
-            four_res = float(np.max(np.abs(np.subtract(report.quotient.tridiagonal(), system.level_triples()))))
-            if four_res > eps_pdr_scaled:
-                violations.append(
-                    Violation("fourier_match", f"vertex {u}: quotient vs recurrence residual {four_res:.3e}")
-                )
-
-    if equivalence_failed:
+    reports = _vertex_pass(g, dec, tol, violations)
+    if any(r is None for r in reports):
         return None, False
 
     try:
@@ -649,60 +857,11 @@ def _invariant_suite(
             )
         # Neighbors of a common vertex carry equal Perron entries; unscaled
         # eps_alpha, as for the Perron levels in classify.
-        for u in range(n):
-            nbrs = g.neighbors(u)
-            if len(nbrs) > 1:
-                spread = float(alpha[nbrs].max() - alpha[nbrs].min())
-                if spread > tol.eps_alpha:
-                    violations.append(Violation("neighbor_alpha", f"vertex {u}: spread {spread:.3e}"))
+        adj = g.adjacency
+        spread = np.where(adj, alpha, -np.inf).max(axis=1) - np.where(adj, alpha, np.inf).min(axis=1)
+        for u in np.flatnonzero((g.degrees > 1) & (spread > tol.eps_alpha)):
+            violations.append(Violation("neighbor_alpha", f"vertex {u}: spread {spread[u]:.3e}"))
     elif cls.verdict != VERDICT_NOT_PDR:
         violations.append(Violation("dichotomy", f"graph with a non-PDR vertex classified {cls.verdict}"))
 
     return cls.verdict, all_pdr
-
-
-def _check_predistance_contract(
-    g: Graph,
-    system: PredistanceSystem,
-    lam0: float,
-    alpha_u: float,
-    eps: float,
-    violations: list[Violation],
-) -> None:
-    """Orthogonality, normalization, closed forms, and recurrence residuals."""
-    ls, vals = system.spectrum, system.support_values
-    u, support, weights = ls.vertex, ls.values, ls.support_weights
-    gram = (vals * weights) @ vals.T
-    norms2 = np.diag(gram)
-    scale = np.maximum(np.sqrt(np.outer(norms2, norms2)), 1e-300)
-    worst_orth = float(np.max(np.abs(gram - np.diag(norms2)) / scale))
-    if worst_orth > eps:
-        violations.append(Violation("pd_orthogonality", f"vertex {u}: relative residual {worst_orth:.3e}"))
-
-    lam0_vals = np.array(system.values_at_radius)
-    norm_res = float(np.max(np.abs(norms2 - alpha_u**2 * lam0_vals) / np.maximum(1.0, np.abs(norms2))))
-    if norm_res > eps or np.any(lam0_vals <= 0):
-        violations.append(Violation("pd_normalization", f"vertex {u}: residual {norm_res:.3e}"))
-
-    # p_0 is constant and p_1 = (p_0 / next_0) (x - same_0).
-    p0 = lam0_vals[0]
-    ok = abs(p0 - alpha_u**2) <= eps * max(1.0, alpha_u**2)
-    if len(vals) > 1:
-        expected = alpha_u**2 * lam0 / g.degree(u)
-        _, same0, next0 = system.recurrence[0]
-        lead = p0 / next0
-        ok = ok and abs(lead * same0) <= eps * max(1.0, expected) and abs(lead - expected) <= eps * max(1.0, expected)
-    if not ok:
-        violations.append(Violation("pd_closed_forms", f"vertex {u}: constant or degree-one polynomial off"))
-
-    # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support; the
-    # zero end coefficients make the rolled-in rows vanish. The last row is
-    # the Golub-Welsch closure: the Krylov space ends at local degree + 1.
-    prev, same, nxt = (np.array(c)[:, None] for c in zip(*system.recurrence))
-    xp = vals * support
-    combo = prev * np.roll(vals, 1, axis=0) + same * vals + nxt * np.roll(vals, -1, axis=0)
-    res = np.sqrt(((xp - combo) ** 2) @ weights)
-    ref = np.sqrt(xp**2 @ weights)
-    bad = np.flatnonzero(res > eps * np.maximum(1.0, ref))
-    if len(bad):
-        violations.append(Violation("pd_recurrence", f"vertex {u}, index {bad[0]}: residual {res[bad[0]]:.3e}"))

@@ -78,7 +78,7 @@ class PredistanceSystem:
         local degree 39, coefficients reach 3e5 and Horner on them misses
         :meth:`columns` by 2.7e-5); ``recurrence`` is the exact description.
         """
-        coeffs = self._run(np.arange(len(self.recurrence)) == 0, lambda c: np.roll(c, 1))
+        coeffs = self._run(np.arange(len(self.recurrence)) == 0, lambda c: np.roll(c, 1, axis=0))
         return tuple(Polynomial(c[: i + 1]) for i, c in enumerate(coeffs))
 
     def columns(self, g: Graph) -> Iterator[np.ndarray]:
@@ -88,11 +88,9 @@ class PredistanceSystem:
 
     def _run(self, unit: np.ndarray, times_x) -> Iterator[np.ndarray]:
         """Yield p_0(x) unit, p_1(x) unit, ... by the recurrence, where ``times_x`` applies x."""
-        before, cur = 0.0 * unit, self.values_at_radius[0] * unit
-        yield cur
-        for prev, same, nxt in self.recurrence[:-1]:
-            before, cur = cur, (times_x(cur) - same * cur - prev * before) / nxt
-            yield cur
+        prev, same, nxt = np.array(self.recurrence).T[:, None, :]
+        runs = _run_recurrence(unit[:, None], np.array(self.values_at_radius[:1]), prev, same, nxt, times_x)
+        return (col[:, 0] for col in runs)
 
     def level_triples(self) -> tuple[tuple[float, float, float], ...]:
         """Recurrence coefficients regrouped per level as (down, stay, up).
@@ -101,8 +99,7 @@ class PredistanceSystem:
         x * p_i (stay), and in x * p_{i+1} (up). At a vertex where the graph
         is pseudo-distance-regular these are the local intersection numbers.
         """
-        prev, same, nxt = zip(*self.recurrence)
-        return tuple(zip((0.0, *nxt[:-1]), same, (*prev[1:], 0.0)))
+        return tuple(map(tuple, _PredistanceBlock.of_system(self).level_triples()[0].tolist()))
 
 
 def local_inner_product(ls: LocalSpectrum, f: Polynomial, g: Polynomial) -> float:
@@ -115,56 +112,179 @@ def local_inner_product(ls: LocalSpectrum, f: Polynomial, g: Polynomial) -> floa
     return float(np.dot(ls.local_mults, f(x) * g(x)))
 
 
+def _run_recurrence(
+    unit: np.ndarray,
+    p0: np.ndarray,
+    prev: np.ndarray,
+    same: np.ndarray,
+    nxt: np.ndarray,
+    times_x,
+) -> Iterator[np.ndarray]:
+    """Yield p_0(x) unit, p_1(x) unit, ... for a block of families at once.
+
+    Column b of ``unit`` runs family b: p_0 is the constant ``p0[b]`` and
+    row b of the (B, k) coefficient arrays holds its recurrence, padded
+    with zeros past its own degree. ``times_x`` applies x to a whole block.
+    A column whose recurrence has ended (next coefficient zero) stays zero.
+    """
+    before, cur = 0.0 * unit, p0 * unit
+    yield cur
+    for i in range(prev.shape[1] - 1):
+        step = times_x(cur) - same[:, i] * cur - prev[:, i] * before
+        before, cur = cur, np.divide(step, nxt[:, i], out=np.zeros_like(step), where=nxt[:, i] != 0)
+        yield cur
+
+
+@dataclass(frozen=True, eq=False)
+class _PredistanceBlock:
+    """The predistance families of a block of vertices, padded to the largest.
+
+    Row b belongs to ``vertices[b]``: its support and weights fill the first
+    ``sizes[b]`` slots of ``support`` and ``weights``, ``vals[b, i, j]`` is
+    p_i at the j-th support value, and ``prev``, ``same``, ``nxt`` hold the
+    recurrence coefficients of :attr:`PredistanceSystem.recurrence`. Every
+    padded entry is zero. ``errors[b]`` is the error that
+    :func:`build_predistance` raises for row b, or None.
+    """
+
+    vertices: np.ndarray
+    support: np.ndarray
+    weights: np.ndarray
+    sizes: np.ndarray
+    vals: np.ndarray
+    prev: np.ndarray
+    same: np.ndarray
+    nxt: np.ndarray
+    errors: list[Exception | None]
+
+    @classmethod
+    def of_system(cls, system: PredistanceSystem) -> "_PredistanceBlock":
+        """The one-row block of a built system."""
+        ls = system.spectrum
+        prev, same, nxt = np.array(system.recurrence).T[:, None, :]
+        return cls(
+            vertices=np.array([ls.vertex]),
+            support=ls.values[None],
+            weights=ls.support_weights[None],
+            sizes=np.array([len(ls.values)]),
+            vals=system.support_values[None],
+            prev=prev,
+            same=same,
+            nxt=nxt,
+            errors=[None],
+        )
+
+    def level_triples(self) -> np.ndarray:
+        """(B, k, 3) array whose row b is :meth:`PredistanceSystem.level_triples` of row b, zero-padded."""
+        out = np.zeros((*self.same.shape, 3))
+        out[:, 1:, 0], out[:, :, 1], out[:, :-1, 2] = self.nxt[:, :-1], self.same, self.prev[:, 1:]
+        return out
+
+
+def _predistance_block(
+    vertices: np.ndarray,
+    support: np.ndarray,
+    weights: np.ndarray,
+    sizes: np.ndarray,
+    lambda0: float,
+    alphas: np.ndarray,
+) -> _PredistanceBlock:
+    """Build the predistance families of a block of vertices at once.
+
+    Row b of the (B, k) arrays ``support`` and ``weights`` holds the
+    measure of ``vertices[b]`` in its first ``sizes[b]`` slots; ``alphas``
+    holds their Perron entries. Lanczos runs on every row together, one
+    degree at a time; a row that fails validation or loses rank stops there
+    and records the error that :func:`build_predistance` raises for it.
+    """
+    B, k = support.shape
+    valid = np.arange(k) < sizes[:, None]
+    problems = [
+        (sizes == 0, "empty local spectrum"),
+        (
+            ((support[:, 1:] >= support[:, :-1]) & valid[:, 1:]).any(axis=1),
+            "support values must be strictly decreasing",
+        ),
+        (((weights <= 0) & valid).any(axis=1), "support weights must be positive"),
+        (
+            (sizes > 0) & (np.abs(support[:, 0] - lambda0) > 1e-9 * max(1.0, abs(lambda0))),
+            "spectral radius must be the largest support value",
+        ),
+    ]
+    errors: list[Exception | None] = [None] * B
+    live = np.ones(B, dtype=bool)
+    for bad, message in reversed(problems):
+        if bad.any():
+            live &= ~bad
+            for b in np.flatnonzero(bad):
+                errors[b] = ValueError(message)
+    support = np.where(valid & live[:, None], support, 0.0)
+    weights = np.where(valid & live[:, None], weights, 0.0)
+
+    # Lanczos on diag(support), reorthogonalized twice: q[b, i] is
+    # sqrt(weights) times the i-th orthonormal polynomial of row b on its
+    # support, and off[b, i] its Jacobi matrix's off-diagonal.
+    q = np.zeros((B, k, k))
+    total = weights.sum(axis=1, keepdims=True)
+    q[:, 0] = np.sqrt(np.divide(weights, total, out=np.zeros_like(weights), where=total > 0))
+    off = np.zeros((B, k))
+    for i in range(k - 1):
+        live &= i < sizes - 1
+        if not live.any():
+            break
+        v = support * q[:, i]
+        ref = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        for _ in range(2):
+            basis = q[:, : i + 1]
+            v -= (basis.transpose(0, 2, 1) @ (basis @ v[:, :, None]))[:, :, 0]
+        norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        lost = live & (norm**2 <= _RANK_FLOOR * np.maximum(1.0, ref))
+        if lost.any():
+            live &= ~lost
+            for b in np.flatnonzero(lost):
+                errors[b] = IllConditionedMeasureError(
+                    f"rank loss at degree {i + 1}: support points of vertex {vertices[b]} are numerically coincident"
+                )
+        off[:, i] = np.where(live, norm, 0.0)
+        q[:, i + 1] = np.divide(v, norm[:, None], out=np.zeros_like(v), where=live[:, None])
+    same = (np.square(q) @ support[:, :, None])[:, :, 0]
+
+    # p_i = s_i phat_i with s_i = alpha_u^2 phat_i(lambda0) enforces
+    # ||p_i||^2 = alpha_u^2 p_i(lambda0) with p_i(lambda0) > 0. The values
+    # overwrite q: padded columns of q are zero already.
+    root = np.sqrt(weights)[:, None, :]
+    phat = np.divide(q, root, out=q, where=root > 0)
+    s = alphas[:, None] ** 2 * phat[:, :, 0]
+    vals = np.multiply(phat, s[:, :, None], out=phat)
+    vals.setflags(write=False)
+    step = off[:, :-1] > 0
+    ratio = np.divide(s[:, 1:], s[:, :-1], out=np.ones_like(s[:, 1:]), where=step)
+    prev, nxt = np.zeros((B, k)), np.zeros((B, k))
+    prev[:, 1:] = off[:, :-1] * ratio
+    nxt[:, :-1] = np.where(step, off[:, :-1] / ratio, 0.0)
+    return _PredistanceBlock(vertices, support, weights, sizes, vals, prev, same, nxt, errors)
+
+
 def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> PredistanceSystem:
     """Construct the vertex's orthogonal polynomial family and recurrence.
 
     ``lambda0`` is the spectral radius and ``alpha_u`` the vertex's Perron
     entry. Raises :class:`IllConditionedMeasureError` on numerical rank loss
-    before the local degree is reached.
+    before the local degree is reached. The one-row case of
+    :func:`_predistance_block`.
     """
-    support = np.asarray(ls.values, dtype=float)
-    weights = np.asarray(ls.support_weights, dtype=float)
-    k = len(support)
-    if k == 0:
-        raise ValueError("empty local spectrum")
-    if np.any(np.diff(support) >= 0):
-        raise ValueError("support values must be strictly decreasing")
-    if np.any(weights <= 0):
-        raise ValueError("support weights must be positive")
-    if abs(support[0] - lambda0) > 1e-9 * max(1.0, abs(lambda0)):
-        raise ValueError("spectral radius must be the largest support value")
-
-    # Lanczos on diag(support), reorthogonalized twice: row i of q is
-    # sqrt(weights) times the i-th orthonormal polynomial on the support, and
-    # off is the Jacobi matrix's off-diagonal.
-    q = np.zeros((k, k))
-    q[0] = np.sqrt(weights / weights.sum())
-    off = np.zeros(k - 1)
-    for i in range(k - 1):
-        v = support * q[i]
-        ref = float(v @ v)
-        for _ in range(2):
-            v -= q[: i + 1].T @ (q[: i + 1] @ v)
-        off[i] = np.sqrt(v @ v)
-        if off[i] ** 2 <= _RANK_FLOOR * max(1.0, ref):
-            raise IllConditionedMeasureError(
-                f"rank loss at degree {i + 1}: support points of vertex {ls.vertex} are numerically coincident"
-            )
-        q[i + 1] = v / off[i]
-    same = (q**2 @ support).tolist()
-
-    # p_i = s_i phat_i with s_i = alpha_u^2 phat_i(lambda0) enforces
-    # ||p_i||^2 = alpha_u^2 p_i(lambda0) with p_i(lambda0) > 0.
-    phat = q / np.sqrt(weights)
-    s = alpha_u**2 * phat[:, 0]
-    vals = s[:, None] * phat
-    vals.setflags(write=False)
-    ratio = s[1:] / s[:-1]
-    prev, nxt = [0.0, *(off * ratio).tolist()], [*(off / ratio).tolist(), 0.0]
+    k = len(ls.values)
+    support, weights = np.zeros((2, 1, max(k, 1)))
+    support[0, :k], weights[0, :k] = ls.values, ls.support_weights
+    block = _predistance_block(np.array([ls.vertex]), support, weights, np.array([k]), lambda0, np.array([alpha_u]))
+    (error,) = block.errors
+    if error is not None:
+        raise error
+    vals = block.vals[0]
     return PredistanceSystem(
         spectrum=ls,
         support_values=vals,
-        recurrence=tuple(zip(prev, same, nxt)),
+        recurrence=tuple(zip(block.prev[0].tolist(), block.same[0].tolist(), block.nxt[0].tolist())),
         values_at_radius=tuple(vals[:, 0].tolist()),
     )
 

@@ -183,6 +183,32 @@ def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposi
     )
 
 
+def _clamped_local_mults(
+    dec: SpectralDecomposition, vertices: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, list[NumericalError | None]]:
+    """Local multiplicities of a block of vertices, one read-only row each.
+
+    Row b holds the (u, u) entries of the idempotents for u = vertices[b],
+    with entries below ``eps_mult`` in magnitude set to exactly zero.
+    ``errors[b]`` is the error for a row left with a negative entry, else None.
+    """
+    mults = dec.idempotents[:, vertices, vertices].T.copy()
+    mults[np.abs(mults) < tol.eps_mult] = 0.0
+    mults.setflags(write=False)
+    errors = [
+        NumericalError(f"negative local multiplicity beyond clamp at vertex {u}") if bad else None
+        for u, bad in zip(vertices.tolist(), (mults < 0).any(axis=1).tolist())
+    ]
+    return mults, errors
+
+
+def _local_spectrum(dec: SpectralDecomposition, u: int, mults: np.ndarray) -> LocalSpectrum:
+    values = dec.eigenvalues[mults > 0]
+    return LocalSpectrum(
+        vertex=u, eigenvalues=dec.eigenvalues, local_mults=mults, values=values, local_degree=len(values) - 1
+    )
+
+
 def local_spectrum(dec: SpectralDecomposition, u: int, tol: ToleranceConfig = DEFAULT_TOL) -> LocalSpectrum:
     """Local multiplicities of vertex u, clamped, with their support.
 
@@ -191,19 +217,10 @@ def local_spectrum(dec: SpectralDecomposition, u: int, tol: ToleranceConfig = DE
     """
     if not 0 <= u < dec.n:
         raise ValueError(f"vertex {u} out of range")
-    mults = dec.idempotents[:, u, u].copy()
-    mults[np.abs(mults) < tol.eps_mult] = 0.0
-    if np.any(mults < 0):
-        raise NumericalError(f"negative local multiplicity beyond clamp at vertex {u}")
-    values = dec.eigenvalues[mults > 0]
-    mults.setflags(write=False)
-    return LocalSpectrum(
-        vertex=u,
-        eigenvalues=dec.eigenvalues,
-        local_mults=mults,
-        values=values,
-        local_degree=len(values) - 1,
-    )
+    (mults,), (error,) = _clamped_local_mults(dec, np.array([u]), tol)
+    if error is not None:
+        raise error
+    return _local_spectrum(dec, u, mults)
 
 
 def crossed_multiplicity(dec: SpectralDecomposition, u: int, v: int, i: int) -> float:

@@ -293,6 +293,66 @@ def test_analyze_past_short_graph6_does_no_spectral_work(capsys, monkeypatch):
     assert called == []
 
 
+def test_spectrum_past_short_graph6_does_no_spectral_work(capsys, monkeypatch):
+    called = []
+    for name in ("decompose", "local_spectrum", "build_predistance"):
+        monkeypatch.setattr(pdrkit.cli, name, lambda *args, _name=name, **kwargs: called.append(_name))
+    code, out, err = run_cli(capsys, "spectrum", "--named", "cycle:63", "--vertex", "0")
+    assert code == 2 and out == "" and "62" in err
+    assert called == []
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "argv, workers",
+    [
+        (["--enumerate", "3", "--jobs", "64"], [4]),  # 4 graphs: 4 workers, not 64
+        (["--enumerate", "3", "--jobs", "2"], [2]),
+        (["--enumerate", "2", "--jobs", "8"], []),  # one graph: in-process
+    ],
+)
+def test_verify_never_starts_more_workers_than_graphs(capsys, monkeypatch, argv, workers):
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(pdrkit.cli, "ProcessPoolExecutor", RecordingExecutor)
+    code, out, _ = run_cli(capsys, "verify", *argv, "--per-graph")
+    assert RecordingExecutor.sizes == workers
+    monkeypatch.setattr(pdrkit.cli, "ProcessPoolExecutor", None)  # in-process from here
+    assert (code, out) == run_cli(capsys, "verify", *argv[:2], "--per-graph")[:2]
+
+
+def test_verify_empty_corpus_with_jobs(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(pdrkit.cli, "ProcessPoolExecutor", None)  # must not be used
+    corpus = tmp_path / "empty.g6"
+    corpus.write_text("# nothing\n\n", encoding="ascii")
+    code, out, _ = run_cli(capsys, "verify", str(corpus), "--jobs", "4")
+    assert code == 0
+    assert json.loads(out) == {
+        "total": 0,
+        "all_pdr": 0,
+        "distance_regular": 0,
+        "distance_biregular": 0,
+        "not_pdr": 0,
+        "violations": 0,
+    }
+
+
 def test_verify_violations_exit_1(capsys):
     # An absurdly tight walk tolerance turns eigensolver rounding into
     # violations; each offending graph6 string must be printed and the

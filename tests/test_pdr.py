@@ -21,6 +21,7 @@ from pdrkit import (
     WALK_NEITHER,
     WALK_REGULAR,
     adjacency_powers,
+    build_predistance,
     classify,
     combinatorial_intersection_array,
     decompose,
@@ -29,6 +30,7 @@ from pdrkit import (
     perron_transform_consistency,
     generate_named,
     is_pdr_around,
+    local_spectrum,
     pseudo_regular_check,
     verify_graph,
     walk_formula_check,
@@ -184,6 +186,17 @@ def test_is_pdr_p4_inner_vertex():
     rep = is_pdr_around(g, dec, 1)
     assert not rep.is_pdr and not rep.via_partition and not rep.via_polynomials
     assert rep.witness is not None and rep.quotient is None
+
+
+def test_is_pdr_around_reuses_a_built_system():
+    for spec in [("petersen",), ("path", 4), ("complete_bipartite", 2, 3), ("cycle", 7)]:
+        g, dec = prepared(generate_named(*spec))
+        for u in range(g.n):
+            system = build_predistance(local_spectrum(dec, u), dec.spectral_radius, float(dec.perron[u]))
+            built, reused = is_pdr_around(g, dec, u), is_pdr_around(g, dec, u, system=system)
+            assert reused.spectrum is system.spectrum
+            fields = ("vertex", "is_pdr", "via_partition", "via_polynomials", "extremal", "eccentricity", "witness")
+            assert [getattr(built, f) for f in fields] == [getattr(reused, f) for f in fields]
 
 
 def test_characterizations_agree_n_up_to_5():
@@ -495,10 +508,13 @@ def test_verify_graph_tags_disconnected_input():
 def test_verify_graph_tags_numerical_error_after_decompose(monkeypatch):
     from pdrkit import pdr
 
-    def ill_conditioned(ls, lambda0, alpha_u):
-        raise IllConditionedMeasureError(f"rank loss at vertex {ls.vertex}")
+    build = pdr._predistance_block
 
-    monkeypatch.setattr(pdr, "build_predistance", ill_conditioned)
+    def ill_conditioned(vertices, *args):
+        block = build(vertices, *args)
+        return dataclasses.replace(block, errors=[IllConditionedMeasureError(f"rank loss at vertex {u}") for u in vertices])
+
+    monkeypatch.setattr(pdr, "_predistance_block", ill_conditioned)
     r = verify_graph(generate_named("petersen"))
     assert r.verdict is None and not r.all_pdr
     assert [(v.check, v.detail) for v in r.violations] == [("numerical", "rank loss at vertex 0")]
@@ -572,13 +588,14 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
     counted = [
         (graph_core, "all_pairs_distances", lambda args: None),
         (graph_core, "bipartition", lambda args: None),
-        (pdr, "local_spectrum", lambda args: args[1]),
-        (pdr, "pseudo_regular_check", lambda args: int(np.flatnonzero(args[2] == 0)[0])),
+        (pdr, "_vertex_pass", lambda args: None),
+        (cli, "_vertex_pass", lambda args: None),
+        (pdr, "pseudo_regular_check", lambda args: None),
+        (pdr, "is_pdr_around", lambda args: None),
         (pdr, "combinatorial_intersection_array", lambda args: args[1]),
-        (pdr, "build_predistance", lambda args: args[0].vertex),
         (pdr, "walk_formula_check", lambda args: None),
-        (cli, "local_spectrum", lambda args: args[1]),
-        (cli, "build_predistance", lambda args: args[0].vertex),
+        (cli, "local_spectrum", lambda args: None),
+        (cli, "build_predistance", lambda args: None),
     ]
     for module, name, vertex_of in counted:
 
@@ -593,9 +610,24 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
     assert calls["all_pairs_distances", None] == 1
     # Needed only on a graph that is not regular.
     assert calls["bipartition", None] == (0 if spec == ("petersen",) else 1)
-    for name in ("local_spectrum", "pseudo_regular_check", "combinatorial_intersection_array", "build_predistance"):
-        per_vertex = {u: calls[name, u] for u in range(g.n)}
-        assert max(per_vertex.values()) <= 1, (name, per_vertex)
-    assert calls["combinatorial_intersection_array", 0] == 1  # the all-PDR branch ran
+    # One vertex pass covers every vertex; nothing runs the one-vertex functions.
+    assert calls["_vertex_pass", None] == 1
+    for name in ("pseudo_regular_check", "is_pdr_around", "local_spectrum", "build_predistance"):
+        assert calls[name, None] == 0, name
+    per_vertex = {u: calls["combinatorial_intersection_array", u] for u in range(g.n)}
+    assert set(per_vertex.values()) == {1}  # the all-PDR branch ran, once per vertex
     # One call per walk length, over all edges at once.
     assert calls["walk_formula_check", None] == (7 if entry is _verify else 0)
+
+
+def test_quotient_triples_are_computed_once():
+    g, dec = prepared(generate_named("petersen"))
+    quotient, _ = pseudo_regular_check(g, dec, distances_from(g, 0))
+    assert quotient.tridiagonal() is quotient.tridiagonal()
+    # A partition that is not a distance partition: the error stays.
+    g, dec = prepared(generate_named("complete", 3))
+    quotient, _ = pseudo_regular_check(g, dec, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        quotient.tridiagonal()
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        quotient.tridiagonal()
