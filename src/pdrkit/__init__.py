@@ -68,6 +68,7 @@ from .pdr import (
     is_pdr_around,
     pseudo_regular_check,
     verify_graph,
+    verify_graphs,
     walk_formula_check,
     walk_regularity,
     weighted_distance_column,

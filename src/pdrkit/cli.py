@@ -10,7 +10,10 @@ invocations produce byte-identical output.
 Exit codes: 0 success, 1 corpus verification found violations, 2 parse or
 input error, 3 disconnected input, 4 numerical failure, 5 internal check
 failure (two characterizations that must agree disagreed: a bug, not bad
-input).
+input), 141 standard output closed before ``verify`` finished (as when
+piped into ``head``; 128 + SIGPIPE, what a shell reports for a filter
+killed by a broken pipe): the run stops quietly and its pending batches
+are cancelled.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable
+from itertools import islice
+from math import comb
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +36,9 @@ from .graph_core import (
     Graph6Error,
     NAMED_FAMILIES,
     UnsupportedSizeError,
+    _graph6_codes,
+    _graph6_strings,
+    _parse_graph6_batch,
     distances_from,
     enumerate_connected,
     generate_named,
@@ -44,7 +53,10 @@ from .spectral import (
     local_spectrum,
 )
 from .predistance import build_predistance
-from .pdr import InternalCheckError, _vertex_pass, classify, verify_graph
+from .pdr import InternalCheckError, _stack_size, _vertex_pass, classify, verify_graphs
+
+# Exit code of verify when standard output is closed before it finishes.
+EXIT_BROKEN_PIPE = 141
 
 # The ToleranceConfig fields the CLI exposes, with their help texts. Field
 # eps_X is set by --eps-X, falling back to the PDRKIT_EPS_X variable.
@@ -272,15 +284,64 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _verify_one(item: tuple[str, ToleranceConfig]) -> dict:
-    g6, tol = item
-    result = verify_graph(parse_graph6(g6), tol)
-    return {
-        "graph6": result.graph6,
-        "verdict": result.verdict,
-        "all_pdr": result.all_pdr,
-        "violations": [f"{v.check}: {v.detail}" for v in result.violations],
-    }
+def _verify_batch(item: tuple[list[str], ToleranceConfig]) -> list[dict]:
+    """The records of one batch of graph6 strings of one order, in order."""
+    sources, tol = item
+    return [
+        {
+            "graph6": result.graph6,
+            "verdict": result.verdict,
+            "all_pdr": result.all_pdr,
+            "violations": [f"{v.check}: {v.detail}" for v in result.violations],
+        }
+        for result in verify_graphs(_parse_graph6_batch(sources), tol)
+    ]
+
+
+def _connected_count(n: int) -> int:
+    """Number of connected labeled graphs on n vertices (OEIS A001187), from
+    the count of all graphs by the size of vertex 0's component."""
+    counts = [0]
+    for m in range(1, n + 1):
+        counts.append(2 ** comb(m, 2) - sum(comb(m - 1, k - 1) * counts[k] * 2 ** comb(m - k, 2) for k in range(1, m)))
+    return counts[n]
+
+
+def _enumerated_graph6(n: int, size: int) -> Iterator[list[str]]:
+    """The graph6 strings of ``enumerate_connected(n)``, encoded ``size`` graphs at a time."""
+    graphs = enumerate_connected(n)
+    while chunk := list(islice(graphs, size)):
+        yield _graph6_strings(_graph6_codes(np.stack([g.adjacency for g in chunk])))
+
+
+def _batches(chunks: Iterable[list[str]], total: int, jobs: int) -> Iterator[list[str]]:
+    """Consecutive runs of graph6 strings of one order, each as large as one
+    stack of that order, and small enough that ``total`` graphs make at
+    least min(total, 8 * jobs) batches, so that every worker gets work."""
+    share = max(1, total // (8 * jobs))
+    run: list[str] = []
+    for chunk in chunks:
+        for s in chunk:
+            # The first byte of a well-formed short graph6 string is n + 63.
+            if run and (s[0] != run[0][0] or len(run) == min(share, _stack_size(ord(s[0]) - 63))):
+                yield run
+                run = []
+            run.append(s)
+    if run:
+        yield run
+
+
+def _in_windows(pool, items: Iterator, window: int) -> Iterator:
+    """``pool.map`` over ``items`` in order, with at most two windows of
+    ``window`` items submitted at once, so that a long stream stays in
+    bounded memory and the workers never wait for the next window."""
+    pending: deque = deque()
+    while chunk := list(islice(items, window)):
+        pending.append(pool.map(_verify_batch, chunk))
+        if len(pending) == 2:
+            yield from pending.popleft()
+    while pending:
+        yield from pending.popleft()
 
 
 def _cmd_verify(args) -> int:
@@ -289,7 +350,9 @@ def _cmd_verify(args) -> int:
         if not 1 <= args.enumerate <= 7:
             print("--enumerate supports 1 <= n <= 7", file=sys.stderr)
             return 2
-        sources = [serialize_graph6(g) for g in enumerate_connected(args.enumerate)]
+        total = _connected_count(args.enumerate)
+        # The strings are encoded as batches are taken, never all at once.
+        chunks = _enumerated_graph6(args.enumerate, _stack_size(args.enumerate))
     else:
         try:
             lines = _read_corpus(args.corpus)
@@ -304,6 +367,7 @@ def _cmd_verify(args) -> int:
                 print(f"{args.corpus}:{lineno}: {exc}", file=sys.stderr)
                 return 2
             sources.append(s)
+        total, chunks = len(sources), [sources]
 
     counts = {
         "total": 0,
@@ -314,29 +378,43 @@ def _cmd_verify(args) -> int:
         "violations": 0,
     }
 
-    def consume(records: Iterable[dict]) -> None:
-        for record in records:
-            counts["total"] += 1
-            if record["all_pdr"]:
-                counts["all_pdr"] += 1
-            if record["verdict"] in ("distance_regular", "distance_biregular", "not_pdr"):
-                counts[record["verdict"]] += 1
-            if record["violations"]:
-                counts["violations"] += 1
-                print(_render_json(record))
-            elif args.per_graph:
-                print(_render_json(record))
+    def consume(batches: Iterable[list[dict]]) -> None:
+        for records in batches:
+            for record in records:
+                counts["total"] += 1
+                if record["all_pdr"]:
+                    counts["all_pdr"] += 1
+                if record["verdict"] in ("distance_regular", "distance_biregular", "not_pdr"):
+                    counts[record["verdict"]] += 1
+                if record["violations"]:
+                    counts["violations"] += 1
+                    print(_render_json(record))
+                elif args.per_graph:
+                    print(_render_json(record))
+        print(_render_json(counts))
+        sys.stdout.flush()
 
-    items = [(s, tol) for s in sources]
     # The pool starts all its workers at once, so never more than there are graphs.
-    jobs = min(args.jobs, len(items))
-    if jobs <= 1:
-        consume(map(_verify_one, items))
-    else:
-        # Workers stream results back in input order, so output stays deterministic.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            consume(pool.map(_verify_one, items, chunksize=max(1, len(items) // (8 * jobs))))
-    print(_render_json(counts))
+    jobs = min(args.jobs, total)
+    items = ((batch, tol) for batch in _batches(chunks, total, max(1, jobs)))
+    try:
+        if jobs <= 1:
+            consume(map(_verify_batch, items))
+        else:
+            # Workers stream results back in input order, so output stays deterministic.
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                try:
+                    consume(_in_windows(pool, items, 4 * jobs))
+                except BrokenPipeError:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
+    except BrokenPipeError:
+        # Nothing more can be written; point stdout at devnull so that the
+        # interpreter's last flush stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 1 if counts["violations"] else 0
 
 

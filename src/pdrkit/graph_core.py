@@ -9,7 +9,7 @@ always an error, never a silent per-component analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -65,11 +65,11 @@ class Graph:
             raise ValueError("a graph needs at least one vertex")
         if adj.dtype != np.bool_:
             raise ValueError("adjacency must be boolean")
-        if np.any(np.diag(adj)):
+        if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
-        if not np.array_equal(adj, adj.T):
+        if not (adj == adj.T).all():
             raise ValueError("adjacency must be symmetric")
-        if self.edge_count != int(adj.sum()) // 2:
+        if self.edge_count != np.count_nonzero(adj) // 2:
             raise ValueError("edge_count does not match the adjacency matrix")
         adj.setflags(write=False)
 
@@ -77,7 +77,7 @@ class Graph:
     def from_adjacency(cls, adjacency) -> "Graph":
         adj = np.array(adjacency, dtype=bool)
         n = adj.shape[0] if adj.ndim == 2 else 0
-        return cls(n=n, adjacency=adj, edge_count=int(adj.sum()) // 2)
+        return cls(n=n, adjacency=adj, edge_count=np.count_nonzero(adj) // 2)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -148,13 +148,47 @@ class Bipartition:
 # First byte is n + 63 with n <= 62.  The remaining bytes pack the strict
 # upper triangle read column by column -- (0,1), (0,2), (1,2), (0,3), ... --
 # six bits per byte, most significant bit first, each byte offset by 63.
+# Encoding and decoding work on stacks of graphs of one order, one byte row
+# per graph; the one-graph functions are their B = 1 case.
 
 
+@lru_cache(maxsize=GRAPH6_MAX_N)
 def _pair_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the upper triangle in graph6 bit order."""
+    """Read-only row/column indices of the upper triangle in graph6 bit order."""
     cols = np.repeat(np.arange(1, n), np.arange(1, n))
     rows = np.concatenate([np.arange(j) for j in range(1, n)]) if n > 1 else np.array([], dtype=int)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     return rows, cols
+
+
+def _graph6_codes(adjacency: np.ndarray) -> np.ndarray:
+    """(B, 1 + payload) uint8 graph6 bytes of a (B, n, n) boolean stack, zero padding bits."""
+    B, n, _ = adjacency.shape
+    rows, cols = _pair_order(n)
+    nbytes = (len(rows) + 5) // 6
+    bits = np.zeros((B, 6 * nbytes), dtype=np.uint8)
+    bits[:, : len(rows)] = adjacency[:, rows, cols]
+    codes = np.empty((B, 1 + nbytes), dtype=np.uint8)
+    codes[:, 0] = 63 + n
+    codes[:, 1:] = 63 + bits.reshape(B, nbytes, 6) @ (1 << np.arange(5, -1, -1, dtype=np.uint8))
+    return codes
+
+
+def _graph6_strings(codes: np.ndarray) -> list[str]:
+    """The rows of :func:`_graph6_codes` as strings."""
+    return codes.view(f"S{codes.shape[1]}")[:, 0].astype(f"U{codes.shape[1]}").tolist()
+
+
+def _graph6_adjacency(codes: np.ndarray, n: int) -> np.ndarray:
+    """(B, n, n) boolean stack of well-formed short graph6 byte rows of order n; padding bits are ignored."""
+    rows, cols = _pair_order(n)
+    vals = codes[:, 1:].astype(np.int64) - 63
+    bits = ((vals[:, :, None] >> np.arange(5, -1, -1)) & 1).reshape(len(codes), -1)[:, : len(rows)].astype(bool)
+    adj = np.zeros((len(codes), n, n), dtype=bool)
+    adj[:, rows, cols] = bits
+    adj[:, cols, rows] = bits
+    return adj
 
 
 def parse_graph6(data: str | bytes) -> Graph:
@@ -171,28 +205,50 @@ def parse_graph6(data: str | bytes) -> Graph:
         raw = bytes(data)
     if not raw:
         raise Graph6Error("empty input", 0)
-    for k, b in enumerate(raw):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside the printable range [63, 126]", k)
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    bad = (codes < 63) | (codes > 126)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise Graph6Error(f"byte {raw[k]} outside the printable range [63, 126]", k)
     if raw[0] == 126:
         raise Graph6Error("long-form size prefix '~' is not supported", 0)
     n = raw[0] - 63
     if n == 0:
         raise Graph6Error("a zero-vertex graph cannot be represented", 0)
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(raw) - 1 != nbytes:
         raise Graph6Error(
             f"payload for n={n} needs {nbytes} bytes, got {len(raw) - 1}",
             min(len(raw), 1 + nbytes),
         )
-    vals = np.frombuffer(raw, dtype=np.uint8)[1:].astype(np.int64) - 63
-    bits = ((vals[:, None] >> np.arange(5, -1, -1)) & 1).ravel()[:nbits]
-    adj = np.zeros((n, n), dtype=bool)
-    rows, cols = _pair_order(n)
-    adj[rows, cols] = bits.astype(bool)
-    adj[cols, rows] = adj[rows, cols]
-    return Graph.from_adjacency(adj)
+    return Graph.from_adjacency(_graph6_adjacency(codes[None], n)[0])
+
+
+def _parse_graph6_batch(strings: list[str]) -> list[Graph]:
+    """:func:`parse_graph6` on a nonempty list of strings, decoded at once
+    when they are well-formed graph6 of one order; otherwise string by
+    string, so that a malformed one raises as :func:`parse_graph6` does."""
+    try:
+        codes = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(len(strings), -1)
+    except (UnicodeEncodeError, ValueError):
+        codes = None
+    if codes is not None:
+        n = int(codes[0, 0]) - 63
+        if (
+            1 <= n <= GRAPH6_MAX_N
+            and all(len(s) == codes.shape[1] for s in strings)
+            and codes.shape[1] == 1 + (n * (n - 1) // 2 + 5) // 6
+            and (codes[:, 0] == codes[0, 0]).all()
+            and ((codes >= 63) & (codes <= 126)).all()
+        ):
+            adj = _graph6_adjacency(codes, n)
+            return [Graph(n=n, adjacency=a, edge_count=np.count_nonzero(a) // 2) for a in adj]
+    return [parse_graph6(s) for s in strings]
+
+
+def _require_short_graph6(n: int) -> None:
+    if n > GRAPH6_MAX_N:
+        raise UnsupportedSizeError(f"short graph6 form supports at most {GRAPH6_MAX_N} vertices, got {n}")
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -201,14 +257,8 @@ def serialize_graph6(g: Graph) -> str:
     Inverse of :func:`parse_graph6`; padding bits are zero, so the encoding
     is canonical and round-trips bit-exactly.
     """
-    if g.n > GRAPH6_MAX_N:
-        raise UnsupportedSizeError(f"short graph6 form supports at most {GRAPH6_MAX_N} vertices, got {g.n}")
-    rows, cols = _pair_order(g.n)
-    bits = g.adjacency[rows, cols].astype(np.uint8)
-    pad = (-len(bits)) % 6
-    bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    groups = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1))
-    return chr(63 + g.n) + "".join(chr(63 + int(v)) for v in groups)
+    _require_short_graph6(g.n)
+    return _graph6_strings(_graph6_codes(g.adjacency[None]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +268,29 @@ def serialize_graph6(g: Graph) -> str:
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Read-only n x n matrix of hop distances, -1 for unreachable pairs.
 
-    One breadth-first sweep from every source at once: level d+1 is the set
-    of unseen neighbors of level d. Use ``g.distances``, which computes it
-    once per graph.
+    Use ``g.distances``, which computes it once per graph. The B = 1 case
+    of :func:`_distance_stack`.
     """
-    A = g.adjacency_matrix()
-    dist = np.full((g.n, g.n), -1, dtype=np.int64)
-    seen = np.eye(g.n, dtype=bool)
+    dist = _distance_stack(g.adjacency[None])[0].copy()
+    dist.setflags(write=False)
+    return dist
+
+
+def _cache_distances(g: Graph, dist: np.ndarray) -> None:
+    """Keep a distance matrix computed for g in a stack as ``g.distances``, unless g has one."""
+    g.__dict__.setdefault("distances", dist)
+
+
+def _distance_stack(adjacency: np.ndarray) -> np.ndarray:
+    """Read-only (B, n, n) hop distances of a stack of adjacency matrices, -1 for unreachable pairs.
+
+    One breadth-first sweep from every source of every graph at once: level
+    d+1 is the set of unseen neighbors of level d.
+    """
+    B, n, _ = adjacency.shape
+    A = adjacency.astype(float)
+    dist = np.full((B, n, n), -1, dtype=np.int64)
+    seen = np.broadcast_to(np.eye(n, dtype=bool), (B, n, n)).copy()
     frontier = seen
     d = 0
     while frontier.any():
@@ -327,44 +393,45 @@ def _check_params(family: str, params: tuple[int, ...], want: int) -> tuple[int,
 # enumeration
 
 
+# enumerate_connected tests this many edge masks per array sweep.
+_ENUMERATION_CHUNK = 1 << 14
+
+
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """Stream every connected labeled simple graph on n vertices.
 
     Visits all 2^(n(n-1)/2) edge subsets in ascending bitmask order (bit k
     is the k-th pair in lexicographic order) and yields the connected ones.
-    Guarded to n <= 7 against blow-up.
+    Masks are tested a chunk at a time: each vertex's neighborhood is an
+    int64 bitmask, and a breadth-first sweep grows the set reached from
+    vertex 0 in every mask of the chunk together. Guarded to n <= 7 against
+    blow-up.
     """
     if not 1 <= n <= 7:
         raise ValueError(f"enumeration supports 1 <= n <= 7, got {n}")
-    pairs = list(combinations(range(n), 2))
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
     full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        nbr = [0] * n
-        mm, k = mask, 0
-        while mm:
-            if mm & 1:
-                i, j = pairs[k]
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-            mm >>= 1
-            k += 1
-        seen, frontier = 1, 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= nbr[v]
-            frontier = nxt & ~seen
+    for start in range(0, 1 << len(pairs), _ENUMERATION_CHUNK):
+        masks = np.arange(start, min(1 << len(pairs), start + _ENUMERATION_CHUNK), dtype=np.int64)
+        nbr = np.zeros((n, len(masks)), dtype=np.int64)
+        for k, (i, j) in enumerate(pairs.tolist()):
+            bit = (masks >> k) & 1
+            nbr[i] |= bit << j
+            nbr[j] |= bit << i
+        seen, frontier = np.ones_like(masks), np.ones_like(masks)
+        while frontier.any():
+            reached = np.zeros_like(masks)
+            for v in range(n):
+                reached |= np.where((frontier >> v) & 1, nbr[v], 0)
+            frontier = reached & ~seen
             seen |= frontier
-        if seen != full:
-            continue
-        adj = np.zeros((n, n), dtype=bool)
-        for k2, (i, j) in enumerate(pairs):
-            if mask >> k2 & 1:
-                adj[i, j] = adj[j, i] = True
-        yield Graph.from_adjacency(adj)
+        kept = masks[seen == full]
+        bits = ((kept[:, None] >> np.arange(len(pairs))) & 1).astype(bool)
+        adj = np.zeros((len(kept), n, n), dtype=bool)
+        adj[:, pairs[:, 0], pairs[:, 1]] = bits
+        adj[:, pairs[:, 1], pairs[:, 0]] = bits
+        for a, edges in zip(adj, bits.sum(axis=1).tolist()):
+            yield Graph(n=n, adjacency=a.copy(), edge_count=edges)
 
 
 # ---------------------------------------------------------------------------

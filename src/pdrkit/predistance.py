@@ -186,14 +186,15 @@ def _predistance_block(
     support: np.ndarray,
     weights: np.ndarray,
     sizes: np.ndarray,
-    lambda0: float,
+    lambda0: float | np.ndarray,
     alphas: np.ndarray,
 ) -> _PredistanceBlock:
     """Build the predistance families of a block of vertices at once.
 
     Row b of the (B, k) arrays ``support`` and ``weights`` holds the
-    measure of ``vertices[b]`` in its first ``sizes[b]`` slots; ``alphas``
-    holds their Perron entries. Lanczos runs on every row together, one
+    measure of ``vertices[b]`` in its first ``sizes[b]`` slots; ``lambda0``
+    holds the spectral radius of each row's graph, or one for all, and
+    ``alphas`` their Perron entries. Lanczos runs on every row together, one
     degree at a time; a row that fails validation or loses rank stops there
     and records the error that :func:`build_predistance` raises for it.
     """
@@ -207,7 +208,7 @@ def _predistance_block(
         ),
         (((weights <= 0) & valid).any(axis=1), "support weights must be positive"),
         (
-            (sizes > 0) & (np.abs(support[:, 0] - lambda0) > 1e-9 * max(1.0, abs(lambda0))),
+            (sizes > 0) & (np.abs(support[:, 0] - lambda0) > 1e-9 * np.maximum(1.0, np.abs(lambda0))),
             "spectral radius must be the largest support value",
         ),
     ]

@@ -18,6 +18,10 @@ from .graph_core import Graph, distances_from
 
 DEFAULT_WALK_CAP = 12
 
+# _decompose_stack assembles idempotents in blocks of at most this many
+# float64 entries, so that its temporaries stay small beside the result.
+_STACK_BLOCK_ENTRIES = 2**11
+
 
 class NumericalError(RuntimeError):
     """Numerical failure that invalidates the decomposition or anything downstream."""
@@ -49,9 +53,9 @@ class ToleranceConfig:
     eps_orth: float = 1e-8   # orthogonality / recurrence residuals
     eps_alpha: float = 1e-9  # Perron-entry comparisons
 
-    def scaled(self, name: str, lam0: float, power: int = 1) -> float:
-        """Field ``name`` scaled to the spectral radius: eps * max(1, lam0 ** power)."""
-        return getattr(self, name) * max(1.0, lam0**power)
+    def scaled(self, name: str, lam0, power: int = 1):
+        """Field ``name`` scaled to the spectral radius: eps * max(1, lam0 ** power), elementwise on an array."""
+        return getattr(self, name) * np.maximum(1.0, lam0**power)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -112,30 +116,162 @@ class LocalSpectrum:
         return self.local_mults[self.local_mults > 0]
 
 
-def _group_eigenvalues(evals_desc: np.ndarray, eps: float) -> list[list[int]]:
-    """Partition a decreasing eigenvalue list into groups separated by gaps > eps.
+@dataclass(frozen=True, eq=False)
+class _SpectralStack:
+    """The decompositions of B graphs of one order n, padded to the most groups.
 
-    Any gap within a factor 10 of eps is ambiguous and raises; so does a
-    group whose accumulated spread exceeds eps.
+    Graph b has ``sizes[b]`` distinct eigenvalues; its rows of
+    ``eigenvalues``, ``multiplicities`` and ``idempotents`` hold them first
+    and zeros after. ``errors[b]`` is the error :func:`decompose` raises
+    for graph b, or None; the arrays of such a graph are not meaningful.
     """
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(evals_desc)):
-        gap = float(evals_desc[i - 1] - evals_desc[i])
-        if eps / 10 < gap < eps * 10:
-            raise GroupingAmbiguityError(
-                f"eigenvalue gap {gap:.3e} is within a factor 10 of the grouping threshold {eps:.3e}"
-            )
-        if gap > eps:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    for grp in groups:
-        spread = float(evals_desc[grp[0]] - evals_desc[grp[-1]])
-        if spread > eps:
-            raise GroupingAmbiguityError(
-                f"within-group spread {spread:.3e} exceeds the grouping threshold {eps:.3e}"
-            )
-    return groups
+
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
+    idempotents: np.ndarray
+    perron: np.ndarray
+    sizes: np.ndarray
+    errors: list[NumericalError | None]
+
+    @classmethod
+    def of(cls, dec: SpectralDecomposition) -> "_SpectralStack":
+        """The one-graph stack of a decomposition."""
+        return cls(
+            eigenvalues=dec.eigenvalues[None],
+            multiplicities=dec.multiplicities[None],
+            idempotents=dec.idempotents[None],
+            perron=dec.perron[None],
+            sizes=np.array([len(dec.eigenvalues)]),
+            errors=[None],
+        )
+
+    def take(self, graphs: np.ndarray) -> "_SpectralStack":
+        """The stack of the given graphs, in that order."""
+        return _SpectralStack(
+            eigenvalues=self.eigenvalues[graphs],
+            multiplicities=self.multiplicities[graphs],
+            idempotents=self.idempotents[graphs],
+            perron=self.perron[graphs],
+            sizes=self.sizes[graphs],
+            errors=[self.errors[b] for b in graphs.tolist()],
+        )
+
+    def decomposition(self, b: int) -> SpectralDecomposition:
+        """Graph b's decomposition; raises its error if it has one."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        k = int(self.sizes[b])
+        arrays = self.eigenvalues[b, :k], self.multiplicities[b, :k], self.idempotents[b, :k], self.perron[b]
+        for arr in arrays:
+            arr.setflags(write=False)
+        return SpectralDecomposition(*arrays)
+
+    def local_multiplicities(self) -> np.ndarray:
+        """(B, n, k) raw local multiplicities: entry (b, u, i) is (u, u) of graph b's idempotent i."""
+        return np.einsum("bkuu->buk", self.idempotents)
+
+
+def _group_stack(evals: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, list[GroupingAmbiguityError | None]]:
+    """Group every row of a (B, n) stack of decreasing eigenvalue lists.
+
+    Row b splits where a gap exceeds ``eps[b]``; entry (b, i) of the result
+    is the group of eigenvalue i. ``errors[b]`` is set when a gap of row b
+    lies within a factor 10 of ``eps[b]`` (the first such gap is named) or,
+    failing that, when a group's accumulated spread exceeds ``eps[b]`` (the
+    first such group is named).
+    """
+    B, n = evals.shape
+    gaps = evals[:, :-1] - evals[:, 1:]
+    e = eps[:, None]
+    split = gaps > e
+    groups = np.zeros((B, n), dtype=np.int64)
+    np.cumsum(split, axis=1, out=groups[:, 1:])
+    # Each group's first and last members, in order: the spread is their difference.
+    first, last = np.ones((2, B, n), dtype=bool)
+    first[:, 1:], last[:, :-1] = split, split
+    spread = evals[first] - evals[last]
+    owner = np.nonzero(first)[0]
+    wide = spread > eps[owner]
+    ambiguous = (e / 10 < gaps) & (gaps < e * 10)
+    errors: list[GroupingAmbiguityError | None] = [None] * B
+    for i in np.flatnonzero(wide)[::-1].tolist():  # the first wide group of a row is set last
+        errors[owner[i]] = GroupingAmbiguityError(
+            f"within-group spread {float(spread[i]):.3e} exceeds the grouping threshold {float(eps[owner[i]]):.3e}"
+        )
+    for b in np.flatnonzero(ambiguous.any(axis=1)).tolist():
+        errors[b] = GroupingAmbiguityError(
+            f"eigenvalue gap {float(gaps[b, np.argmax(ambiguous[b])]):.3e} "
+            f"is within a factor 10 of the grouping threshold {float(eps[b]):.3e}"
+        )
+    return groups, errors
+
+
+def _decompose_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> _SpectralStack:
+    """:func:`decompose` on a (B, n, n) stack of 0/1 adjacency matrices at once.
+
+    One stacked eigensolver call, grouping with the ambiguity rule of
+    :func:`_group_stack`, and one idempotent per group; a graph whose
+    decomposition fails keeps its error in ``errors`` and leaves the others
+    alone. Connectivity is the caller's to check.
+    """
+    B, n, _ = adjacency.shape
+    errors: list[NumericalError | None] = [None] * B
+    try:
+        evals, vecs = np.linalg.eigh(adjacency)
+    except np.linalg.LinAlgError:
+        # Find the graphs that fail, and solve the others alone.
+        evals, vecs = np.zeros((B, n)), np.zeros((B, n, n))
+        for b in range(B):
+            try:
+                evals[b], vecs[b] = np.linalg.eigh(adjacency[b])
+            except np.linalg.LinAlgError as exc:
+                errors[b] = NumericalError(f"eigensolver did not converge: {exc}")
+    evals = evals[:, ::-1]
+    vecs = vecs[:, :, ::-1]
+    eps = tol.scaled("eps_group", evals[:, 0])
+    groups, group_errors = _group_stack(evals, eps)
+    sizes = groups[:, -1] + 1
+    k = int(sizes.max())
+
+    # Group g of graph b spans eigenvalues starts[b, g] .. starts[b, g] + counts[b, g] - 1.
+    flat = (groups + k * np.arange(B)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=B * k).reshape(B, k)
+    present = counts > 0
+    starts = np.zeros((B, k), dtype=np.int64)
+    starts[present] = np.flatnonzero(np.diff(flat, prepend=-1)) % n
+
+    # Groups of one size are handled together, a block at a time: one
+    # stacked mean and one stacked product per block.
+    eigenvalues = np.zeros((B, k))
+    idempotents = np.zeros((B, k, n, n))
+    graph, group = np.nonzero(present)
+    size = counts[graph, group]
+    block = max(1, _STACK_BLOCK_ENTRIES // n**2)
+    for m in np.flatnonzero(np.bincount(size)).tolist():  # the group sizes present, in order
+        pick = np.flatnonzero(size == m)
+        for lo in range(0, len(pick), block):
+            b, g = graph[pick[lo : lo + block]], group[pick[lo : lo + block]]
+            members = starts[b, g][:, None] + np.arange(m)
+            eigenvalues[b, g] = np.mean(evals[b[:, None], members], axis=1)
+            V = vecs[b[:, None, None], np.arange(n)[:, None], members[:, None, :]]
+            E = V @ V.transpose(0, 2, 1)
+            del V
+            symmetric = E + E.transpose(0, 2, 1)  # kill asymmetric rounding
+            del E
+            symmetric /= 2
+            idempotents[b, g] = symmetric
+    eigenvalues[np.abs(eigenvalues) < eps[:, None]] = 0.0  # same clamp idea as local multiplicities
+    perron = vecs[:, :, 0] * np.sqrt(n)
+    perron[perron[:, 0] < 0] *= -1
+    found: list[NumericalError | None] = [None] * B
+    for b in np.flatnonzero((counts[:, 0] != 1) | ~(perron > 0).all(axis=1)).tolist():
+        found[b] = NumericalError(
+            f"largest eigenvalue grouped with multiplicity {counts[b, 0]}; "
+            "connected graphs have a simple spectral radius"
+        ) if counts[b, 0] != 1 else NumericalError("Perron vector is not entrywise positive")
+    # A failed eigensolver comes first, then an ambiguous grouping.
+    errors = [e or g or f for e, g, f in zip(errors, group_errors, found)]
+    return _SpectralStack(eigenvalues, counts, idempotents, perron, sizes, errors)
 
 
 def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
@@ -143,62 +279,29 @@ def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposi
 
     Groups numerically equal eigenvalues, assembles one symmetric idempotent
     per group from eigenvector outer products, and returns the Perron vector
-    scaled positive with squared norm n.
+    scaled positive with squared norm n. The one-graph case of
+    :func:`_decompose_stack`.
     """
     distances_from(g, 0)  # raises ConnectivityError on disconnected input
-    A = g.adjacency_matrix()
-    try:
-        evals, vecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    evals = evals[::-1]
-    vecs = vecs[:, ::-1]
-    eps = tol.scaled("eps_group", float(evals[0]))
-    groups = _group_eigenvalues(evals, eps)
-    eigenvalues = np.array([float(np.mean(evals[grp])) for grp in groups])
-    eigenvalues[np.abs(eigenvalues) < eps] = 0.0  # same clamp idea as local multiplicities
-    multiplicities = np.array([len(grp) for grp in groups], dtype=np.int64)
-    if multiplicities[0] != 1:
-        raise NumericalError(
-            f"largest eigenvalue grouped with multiplicity {multiplicities[0]}; "
-            "connected graphs have a simple spectral radius"
-        )
-    idempotents = np.empty((len(groups), g.n, g.n))
-    for k, grp in enumerate(groups):
-        V = vecs[:, grp]
-        E = V @ V.T
-        idempotents[k] = (E + E.T) / 2  # kill asymmetric rounding
-    perron = vecs[:, 0] * np.sqrt(g.n)
-    if perron[0] < 0:
-        perron = -perron
-    if not np.all(perron > 0):
-        raise NumericalError("Perron vector is not entrywise positive")
-    for arr in (eigenvalues, multiplicities, idempotents, perron):
-        arr.setflags(write=False)
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        multiplicities=multiplicities,
-        idempotents=idempotents,
-        perron=perron,
-    )
+    return _decompose_stack(g.adjacency_matrix()[None], tol).decomposition(0)
 
 
 def _clamped_local_mults(
-    dec: SpectralDecomposition, vertices: np.ndarray, tol: ToleranceConfig
+    spectra: _SpectralStack, graphs: np.ndarray, vertices: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, list[NumericalError | None]]:
-    """Local multiplicities of a block of vertices, one read-only row each.
+    """Local multiplicities of a block of (graph, vertex) rows, one read-only row each.
 
-    Row b holds the (u, u) entries of the idempotents for u = vertices[b],
-    with entries below ``eps_mult`` in magnitude set to exactly zero.
-    ``errors[b]`` is the error for a row left with a negative entry, else None.
+    Row r holds the (u, u) entries of graph ``graphs[r]``'s idempotents for
+    u = vertices[r], padded with zeros as the stack is, with entries below
+    ``eps_mult`` in magnitude set to exactly zero. ``errors[r]`` is the
+    error for a row left with a negative entry, else None.
     """
-    mults = dec.idempotents[:, vertices, vertices].T.copy()
+    mults = spectra.idempotents[graphs, :, vertices, vertices]
     mults[np.abs(mults) < tol.eps_mult] = 0.0
     mults.setflags(write=False)
-    errors = [
-        NumericalError(f"negative local multiplicity beyond clamp at vertex {u}") if bad else None
-        for u, bad in zip(vertices.tolist(), (mults < 0).any(axis=1).tolist())
-    ]
+    errors: list[NumericalError | None] = [None] * len(vertices)
+    for r in np.flatnonzero((mults < 0).any(axis=1)).tolist():
+        errors[r] = NumericalError(f"negative local multiplicity beyond clamp at vertex {vertices[r]}")
     return mults, errors
 
 
@@ -217,7 +320,7 @@ def local_spectrum(dec: SpectralDecomposition, u: int, tol: ToleranceConfig = DE
     """
     if not 0 <= u < dec.n:
         raise ValueError(f"vertex {u} out of range")
-    (mults,), (error,) = _clamped_local_mults(dec, np.array([u]), tol)
+    (mults,), (error,) = _clamped_local_mults(_SpectralStack.of(dec), np.zeros(1, dtype=np.int64), np.array([u]), tol)
     if error is not None:
         raise error
     return _local_spectrum(dec, u, mults)
@@ -258,13 +361,20 @@ def adjacency_powers(g: Graph, max_power: int) -> list[np.ndarray]:
     """Exact integer matrices A^0..A^max_power in 64-bit arithmetic.
 
     Raises :class:`OverflowError` before any product could exceed the int64
-    range, so entries are always exact.
+    range, so entries are always exact. The one-graph case of
+    :func:`_power_stack`.
     """
+    return [p[0] for p in _power_stack(g.adjacency[None], max_power)]
+
+
+def _power_stack(adjacency: np.ndarray, max_power: int) -> list[np.ndarray]:
+    """:func:`adjacency_powers` of a nonempty (B, n, n) stack of 0/1 matrices: entry k is the stack of k-th powers."""
     if max_power < 0:
         raise ValueError("max_power must be non-negative")
-    powers = [np.eye(g.n, dtype=np.int64)]
-    A = g.adjacency.astype(np.int64)
-    limit = (2**63 - 1) // max(1, g.n)
+    B, n, _ = adjacency.shape
+    powers = [np.repeat(np.eye(n, dtype=np.int64)[None], B, axis=0)]
+    A = adjacency.astype(np.int64)
+    limit = (2**63 - 1) // max(1, n)
     for k in range(max_power):
         prev = powers[-1]
         if int(prev.max()) > limit:

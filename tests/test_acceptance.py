@@ -13,6 +13,10 @@ comparisons at 1e-9. The sweep must also finish in under five minutes
 single-threaded.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter, defaultdict
 
@@ -223,3 +227,41 @@ def test_no_untagged_violations(sweep):
     unknown = {tag: v for tag, v in sweep.violations.items() if v}
     assert not unknown, f"violations recorded: {dict((k, len(v)) for k, v in unknown.items())}"
     assert set(sweep.violations) <= set(ALL_TAGGED)
+
+
+# The n = 7 counts in closed form. There are 1,866,256 connected labeled
+# graphs on 7 vertices (OEIS A001187). The distance-regular ones are K7 (one
+# labeling) and C7 (7!/14 = 360): a regular graph on 7 vertices has even
+# degree, and neither 4-regular graph (the complements of C7 and of C3 + C4)
+# is strongly regular. The distance-biregular ones are bipartite with two
+# constant degrees, so K_{1,6}, K_{2,5} and K_{3,4} (7 + 21 + 35 labelings).
+N7_SUMMARY = {
+    "total": 1866256,
+    "all_pdr": 424,
+    "distance_regular": 361,
+    "distance_biregular": 63,
+    "not_pdr": 1866256 - 424,
+    "violations": 0,
+}
+
+
+@pytest.mark.n7
+def test_enumerate_7_acceptance():
+    # Opt-in (pytest -m n7): a few minutes on two cores.
+    import pdrkit
+
+    src = os.path.dirname(os.path.dirname(pdrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdrkit", "verify", "--enumerate", "7", "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=1800,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.count("\n") == 1  # no violating graph printed
+    assert json.loads(proc.stdout) == N7_SUMMARY
+    report(9, True, f"n = 7: {N7_SUMMARY['total']} graphs, no violations, {elapsed:.0f} s with --jobs 2")

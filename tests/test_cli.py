@@ -337,6 +337,13 @@ def test_verify_never_starts_more_workers_than_graphs(capsys, monkeypatch, argv,
     assert (code, out) == run_cli(capsys, "verify", *argv[:2], "--per-graph")[:2]
 
 
+def test_connected_count_sizes_the_enumeration_without_listing_it():
+    from pdrkit.cli import _connected_count
+
+    assert [_connected_count(n) for n in range(1, 8)] == [1, 1, 4, 38, 728, 26704, 1866256]  # OEIS A001187
+    assert all(_connected_count(n) == sum(1 for _ in enumerate_connected(n)) for n in range(1, 6))
+
+
 def test_verify_empty_corpus_with_jobs(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(pdrkit.cli, "ProcessPoolExecutor", None)  # must not be used
     corpus = tmp_path / "empty.g6"
@@ -403,6 +410,26 @@ def test_python_dash_m_entry():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["classification"]["verdict"] == "distance_regular"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_exits_quietly_when_stdout_closes(jobs):
+    # The reader takes one line and goes away, as `| head -1` does; n = 6
+    # prints far more than a pipe buffers, so the next flush meets the closed pipe.
+    src = os.path.dirname(os.path.dirname(pdrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "pdrkit", "verify", "--enumerate", "6", "--per-graph", "--jobs", jobs]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    # The first graph is the star K_{1,5}.
+    assert first == {"graph6": "Esa?", "verdict": "distance_biregular", "all_pdr": True, "violations": []}
+    assert proc.returncode == pdrkit.cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_render_rejects_non_finite():

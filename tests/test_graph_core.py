@@ -1,5 +1,8 @@
 """Graph primitives: graph6 codec, distance rows, generators, enumeration."""
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,17 @@ def test_parse_errors_carry_offsets(data, offset):
 
 
 # --- graph6 serialization -------------------------------------------------
+
+
+def test_batch_parse_matches_parse_graph6():
+    from pdrkit.graph_core import _parse_graph6_batch
+
+    strings = [serialize_graph6(g) for g in enumerate_connected(5)]
+    assert _parse_graph6_batch(strings) == [parse_graph6(s) for s in strings]
+    assert _parse_graph6_batch(["Bw", "CF", "Bw"]) == [parse_graph6(s) for s in ("Bw", "CF", "Bw")]
+    # Joined, these would split into two well-formed rows; alone, the first is malformed.
+    with pytest.raises(Graph6Error, match="payload"):
+        _parse_graph6_batch(["BwB", "w"])
 
 
 def test_serialize_known_strings():
@@ -352,6 +366,38 @@ def test_enumeration_counts(n, expected):
     graphs = list(enumerate_connected(n))
     assert len(graphs) == expected
     assert connected_by_union_find(n) == expected
+
+
+def plain_loop_graph6(n: int) -> list[str]:
+    """graph6 strings of the connected graphs on n vertices, one mask at a time in ascending order."""
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        adj = np.zeros((n, n), dtype=bool)
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                adj[i, j] = adj[j, i] = True
+        reached, frontier = {0}, [0]
+        while frontier:
+            frontier = [w for v in frontier for w in range(n) if adj[v, w] and w not in reached]
+            reached.update(frontier)
+        if len(reached) == n:
+            out.append(serialize_graph6(Graph.from_adjacency(adj)))
+    return out
+
+
+# sha256 of the graph6 strings of enumerate_connected(6), one per line,
+# as the per-mask loop that the chunked sweep replaced yielded them.
+ENUMERATE_6_GRAPH6_SHA256 = "65aefcada5c11024107999c7eb8ea657e6173af2d67e9a4e0581403bf4e7e20c"
+
+
+def test_enumeration_matches_plain_loop():
+    for n in range(1, 6):
+        assert [serialize_graph6(g) for g in enumerate_connected(n)] == plain_loop_graph6(n)
+    digest = hashlib.sha256()
+    for g in enumerate_connected(6):
+        digest.update((serialize_graph6(g) + "\n").encode("ascii"))
+    assert digest.hexdigest() == ENUMERATE_6_GRAPH6_SHA256
 
 
 def test_enumeration_n3_members():

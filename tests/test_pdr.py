@@ -584,40 +584,61 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
     from pdrkit import cli, graph_core, pdr
 
     calls = Counter()
-    # (module that looks the name up, function name, the vertex a call is for)
+    # (module that looks the name up, function name)
     counted = [
-        (graph_core, "all_pairs_distances", lambda args: None),
-        (graph_core, "bipartition", lambda args: None),
-        (pdr, "_vertex_pass", lambda args: None),
-        (cli, "_vertex_pass", lambda args: None),
-        (pdr, "pseudo_regular_check", lambda args: None),
-        (pdr, "is_pdr_around", lambda args: None),
-        (pdr, "combinatorial_intersection_array", lambda args: args[1]),
-        (pdr, "walk_formula_check", lambda args: None),
-        (cli, "local_spectrum", lambda args: None),
-        (cli, "build_predistance", lambda args: None),
+        (graph_core, "_distance_stack"),
+        (pdr, "_distance_stack"),
+        (graph_core, "bipartition"),
+        (pdr, "_vertex_block"),
+        (pdr, "pseudo_regular_check"),
+        (pdr, "is_pdr_around"),
+        (pdr, "combinatorial_intersection_array"),
+        (pdr, "_level_counts"),
+        (pdr, "walk_formula_check"),
+        (cli, "local_spectrum"),
+        (cli, "build_predistance"),
     ]
-    for module, name, vertex_of in counted:
+    for module, name in counted:
 
-        def wrapper(*args, _fn=getattr(module, name), _name=name, _vertex_of=vertex_of, **kwargs):
-            calls[_name, _vertex_of(args)] += 1
+        def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     g = generate_named(*spec)
     entry(g)
-    assert calls["all_pairs_distances", None] == 1
+    # One distance matrix, from the stack of verify or from g.distances.
+    assert calls["_distance_stack"] == 1
     # Needed only on a graph that is not regular.
-    assert calls["bipartition", None] == (0 if spec == ("petersen",) else 1)
-    # One vertex pass covers every vertex; nothing runs the one-vertex functions.
-    assert calls["_vertex_pass", None] == 1
+    assert calls["bipartition"] == (0 if spec == ("petersen",) else 1)
+    # One block of the vertex pass covers every vertex; nothing runs the one-vertex functions.
+    assert calls["_vertex_block"] == 1
     for name in ("pseudo_regular_check", "is_pdr_around", "local_spectrum", "build_predistance"):
-        assert calls[name, None] == 0, name
-    per_vertex = {u: calls["combinatorial_intersection_array", u] for u in range(g.n)}
-    assert set(per_vertex.values()) == {1}  # the all-PDR branch ran, once per vertex
+        assert calls[name] == 0, name
+    # The all-PDR branch ran, and counted every vertex's neighbors in one batch.
+    assert calls["_level_counts"] == 1 and calls["combinatorial_intersection_array"] == 0
     # One call per walk length, over all edges at once.
-    assert calls["walk_formula_check", None] == (7 if entry is _verify else 0)
+    assert calls["walk_formula_check"] == (7 if entry is _verify else 0)
+
+
+def test_batched_level_counts_match_one_row_at_every_vertex():
+    from pdrkit import pdr
+
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    catalog = [("petersen",), ("cycle", 40), ("path", 40), ("hypercube", 5), ("complete_bipartite", 10, 20)]
+    graphs += [generate_named(*spec) for spec in catalog]
+    for g in graphs:
+        batched = pdr._intersection_arrays(g, np.arange(g.n))
+        assert batched == [combinatorial_intersection_array(g, u) for u in range(g.n)]
+        assert batched == [pdr._intersection_arrays(g, np.array([u]))[0] for u in range(g.n)]
+        if g.n <= 5:
+            assert [None if a is None else (a.b, a.c, a.a) for a in batched] == [
+                loop_intersection_array(g, u) for u in range(g.n)
+            ]
+        counts = pdr._level_counts(g, np.arange(g.n))
+        assert counts.shape == (g.n, g.n, 3)
+        assert np.array_equal(counts.sum(axis=2), np.broadcast_to(g.degrees, (g.n, g.n)))
 
 
 def test_quotient_triples_are_computed_once():

@@ -17,7 +17,7 @@ from pdrkit import (
     walk_count,
 )
 from pdrkit.graph_core import ConnectivityError, Graph
-from pdrkit.spectral import _group_eigenvalues
+from pdrkit.spectral import _group_stack
 
 
 def small_corpus(max_n=5):
@@ -103,19 +103,21 @@ def test_regular_graph_has_flat_perron():
 
 
 def test_grouping_merges_and_splits():
-    evals = np.array([3.0, 1.0 + 4e-10, 1.0, -2.0])
-    groups = _group_eigenvalues(evals, 1e-8)
-    assert groups == [[0], [1, 2], [3]]
+    evals = np.array([[3.0, 1.0 + 4e-10, 1.0, -2.0]])
+    groups, errors = _group_stack(evals, np.array([1e-8]))
+    assert groups.tolist() == [[0, 1, 1, 2]] and errors == [None]
 
 
 def test_grouping_ambiguity_raises():
-    with pytest.raises(GroupingAmbiguityError):
-        _group_eigenvalues(np.array([1.0, 1.0 - 5e-8]), 1e-8)
+    _, (error,) = _group_stack(np.array([[1.0, 1.0 - 5e-8]]), np.array([1e-8]))
+    assert isinstance(error, GroupingAmbiguityError) and "factor 10" in str(error)
     # A chain of clearly-small gaps whose accumulated spread crosses the
-    # threshold is ambiguous too.
+    # threshold is ambiguous too; in a stack, each row keeps its own error.
     chained = 1.0 - 9e-10 * np.arange(13)
-    with pytest.raises(GroupingAmbiguityError):
-        _group_eigenvalues(chained, 1e-8)
+    clean = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.0, -1.0, -1.0, -2.0, -3.0, -4.0, -5.0])
+    groups, errors = _group_stack(np.stack([clean, chained]), np.array([1e-8, 1e-8]))
+    assert errors[0] is None and isinstance(errors[1], GroupingAmbiguityError)
+    assert "within-group spread" in str(errors[1]) and groups[1].tolist() == [0] * 13
 
 
 def test_grouping_ambiguity_through_decompose():

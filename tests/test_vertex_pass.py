@@ -36,6 +36,7 @@ from pdrkit import (
     verify_graph,
 )
 from pdrkit import pdr
+from pdrkit.spectral import _SpectralStack
 from test_pdr import reference_partition_check
 
 # Recurrence coefficients and values at the radius agree within this
@@ -253,12 +254,21 @@ def test_vertex_pass_matches_per_vertex_loop_on_corpus(monkeypatch):
 
 @pytest.mark.parametrize("spec", NAMED)
 def test_verify_graph_matches_per_vertex_loop(monkeypatch, spec):
-    # The whole suite and classify, with the per-vertex loop put back in the pass's place.
+    # The whole suite and classify, with the per-vertex loop put back in the
+    # pass's place. These graphs pass every whole-graph check, so the suite's
+    # outcome is the loop's violations and the classification of its reports.
     g = generate_named(*spec)
     new = verify_graph(g), classify(g)
     monkeypatch.setattr(pdr, "_vertex_pass", reference_loop)
-    old = verify_graph(g), classify(g)
-    assert (new[0].verdict, new[0].all_pdr, new[0].violations) == (old[0].verdict, old[0].all_pdr, old[0].violations)
+    dec = decompose(g)
+    violations = []
+    reports = reference_loop(g, dec, DEFAULT_TOL, violations)
+    old = classify(g, dec=dec, reports=reports), classify(g)
+    assert (new[0].verdict, new[0].all_pdr, new[0].violations) == (
+        old[0].verdict,
+        all(r.is_pdr for r in reports),
+        tuple(violations),
+    )
     fields = ("verdict", "intersection_arrays", "alpha_levels", "witness", "walk_regularity")
     assert [getattr(new[1], f) for f in fields] == [getattr(old[1], f) for f in fields]
 
@@ -307,7 +317,7 @@ def test_rank_loss_names_the_lowest_vertex(monkeypatch):
     with pytest.raises(IllConditionedMeasureError, match=want):
         pdr._vertex_pass(g, dec, DEFAULT_TOL, [])
 
-    monkeypatch.setattr(pdr, "decompose", lambda g, tol: dec)
+    monkeypatch.setattr(pdr, "_decompose_stack", lambda adjacency, tol: _SpectralStack.of(dec))
     result = verify_graph(g)
     assert result.violations[-1] == Violation("numerical", want)
     assert result.verdict is None and not result.all_pdr
