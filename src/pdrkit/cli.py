@@ -24,6 +24,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from itertools import islice
 from math import comb
 from typing import Iterable, Iterator
@@ -438,7 +439,10 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse starts
+    from a new namespace, so no flag carries over from one call to the next."""
     parser = argparse.ArgumentParser(prog="pdrkit", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

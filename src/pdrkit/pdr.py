@@ -43,7 +43,13 @@ from .spectral import (
     adjacency_powers,
     decompose,
 )
-from .predistance import PredistanceSystem, _PredistanceBlock, _predistance_block, _run_recurrence
+from .predistance import (
+    PredistanceSystem,
+    _PredistanceBlock,
+    _predistance_block,
+    _row_chunks,
+    _run_recurrence,
+)
 
 VERDICT_DISTANCE_REGULAR = "distance_regular"
 VERDICT_DISTANCE_BIREGULAR = "distance_biregular"
@@ -66,27 +72,41 @@ class QuotientMatrix:
     Perron-weighted neighbor count into cell j (sum of neighbor Perron
     entries in cell j divided by the Perron entry of u). For a distance
     partition the matrix is tridiagonal and each row sums to the spectral
-    radius.
+    radius. ``levels`` holds the triples of :meth:`tridiagonal`, read from
+    ``entries`` when not given, or None when the matrix is not tridiagonal.
     """
 
     entries: np.ndarray
+    levels: tuple[tuple[float, float, float], ...] | None = None
+
+    def __post_init__(self):
+        if self.levels is None:
+            (levels,), (banded,) = _band_levels(self.entries[None])
+            if banded:
+                object.__setattr__(self, "levels", tuple(map(tuple, levels.tolist())))
 
     def tridiagonal(self) -> tuple[tuple[float, float, float], ...]:
         """Per-level triples (down, stay, up) of a distance partition.
 
         Level i reads (entries[i, i-1], entries[i, i], entries[i, i+1]) with
-        zeros at the ends. Raises if any off-band entry is nonzero. The
-        triples are computed on the first call and kept.
+        zeros at the ends. Raises if any off-band entry is nonzero.
         """
-        return self._triples
-
-    @cached_property
-    def _triples(self) -> tuple[tuple[float, float, float], ...]:
-        e = self.entries
-        if np.any(np.triu(e, 2)) or np.any(np.tril(e, -2)):
+        if self.levels is None:
             raise ValueError("quotient matrix is not tridiagonal")
-        down, up = [0.0, *np.diagonal(e, -1).tolist()], [*np.diagonal(e, 1).tolist(), 0.0]
-        return tuple(zip(down, np.diagonal(e).tolist(), up))
+        return self.levels
+
+
+def _band_levels(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level (down, stay, up) of a (P, m, m) stack of quotients, as a (P, m, 3)
+    array with zeros at the ends, and whether each quotient is tridiagonal."""
+    m = means.shape[1]
+    levels = np.zeros((len(means), m, 3))
+    level = np.arange(m)
+    levels[:, 1:, 0] = means[:, level[1:], level[:-1]]
+    levels[:, :, 1] = means[:, level, level]
+    levels[:, :-1, 2] = means[:, level[:-1], level[1:]]
+    off_band = np.abs(level[:, None] - level) > 1
+    return levels, ~(means[:, off_band] != 0).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -225,26 +245,22 @@ class _PartitionRows:
     witness: np.ndarray
     values: np.ndarray
 
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_band_levels` of every passing row, read in one operation on first use."""
+        return _band_levels(self.means)
+
     def quotient(self, r: int) -> QuotientMatrix:
         k = int(self.cells[r])
-        entries = self.means[np.searchsorted(self.passed, r), :k, :k].copy()
+        p = int(np.searchsorted(self.passed, r))
+        entries = self.means[p, :k, :k].copy()
         entries.setflags(write=False)
-        return QuotientMatrix(entries=entries)
+        levels, banded = self.levels
+        return QuotientMatrix(entries=entries, levels=tuple(map(tuple, levels[p, :k].tolist())) if banded[p] else None)
 
     def partition_witness(self, r: int) -> PartitionWitness:
         f = int(np.searchsorted(self.failing, r))
         return PartitionWitness(*self.witness[f].tolist(), *self.values[f].tolist())
-
-    def triples(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), m, 3) per-level (down, stay, up) of passing rows, zero past their cells."""
-        means = self.means[np.searchsorted(self.passed, rows)]
-        m = means.shape[1]
-        out = np.zeros((len(rows), m, 3))
-        level = np.arange(m)
-        out[:, 1:, 0] = means[:, level[1:], level[:-1]]
-        out[:, :, 1] = means[:, level, level]
-        out[:, :-1, 2] = means[:, level[:-1], level[1:]]
-        return out
 
 
 def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
@@ -253,7 +269,33 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
     The rows come in G runs of V = R / G, one run per graph: row r is a
     partition of the graph with boolean adjacency ``adjacency[r // V]`` and
     Perron vector ``alpha[r // V]``, checked at threshold ``eps[r]``. The
-    flows of all rows come from one stacked matrix product, with each
+    rows are checked a chunk of :func:`_row_chunks` at a time.
+    """
+    R, n = labels.shape
+    V = R // len(adjacency)
+    parts = []
+    for rows in _row_chunks(R, V, n):
+        runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
+        parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows]))
+    if len(parts) == 1:
+        return parts[0]
+    m = max(p.means.shape[1] for p in parts)
+    passing = np.concatenate([p.passing for p in parts])
+    return _PartitionRows(
+        passing=passing,
+        cells=labels.max(axis=1) + 1,
+        passed=np.flatnonzero(passing),
+        means=np.concatenate([np.pad(p.means, [(0, 0)] + [(0, m - p.means.shape[1])] * 2) for p in parts]),
+        failing=np.flatnonzero(~passing),
+        witness=np.concatenate([p.witness for p in parts]),
+        values=np.concatenate([p.values for p in parts]),
+    )
+
+
+def _partition_chunk(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
+    """:func:`_partition_rows` on one chunk of rows.
+
+    The flows of all rows come from one stacked matrix product, with each
     graph's matrix shared by its run, and their spreads from one segment
     reduction over (row, cell).
     """
@@ -349,23 +391,6 @@ class _GraphStack:
     def of(cls, g: Graph, dec: SpectralDecomposition) -> "_GraphStack":
         """The one-graph stack."""
         return cls(g.adjacency[None], g.distances[None], _SpectralStack.of(dec))
-
-    def blocks(self):
-        """The (graphs, vertices) blocks of the vertex pass, in order.
-
-        A block's rows are every listed vertex of every listed graph, at most
-        max(1, _BLOCK_ENTRIES // n^2) of them: whole graphs while a graph
-        fits, else consecutive vertices of one graph.
-        """
-        B, n, _ = self.adjacency.shape
-        size = max(1, _BLOCK_ENTRIES // n**2)
-        if size >= n:
-            for lo in range(0, B, size // n):
-                yield np.arange(lo, min(B, lo + size // n)), np.arange(n)
-        else:
-            for b in range(B):
-                for lo in range(0, n, size):
-                    yield np.array([b]), np.arange(lo, min(n, lo + size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,11 +494,6 @@ def is_pdr_around(
     return report
 
 
-# The vertex pass takes max(1, _BLOCK_ENTRIES // n^2) rows at a time, so
-# that none of its arrays holds more float64 entries than this (past n = 90
-# a single row does), and every n <= 6 graph is inside one block.
-_BLOCK_ENTRIES = 2**13
-
 # verify_graphs checks max(1, _STACK_ENTRIES // n^3) graphs of order n as
 # one stack: that bounds its padded idempotents, the largest per-graph
 # arrays, to this many float64 entries.
@@ -491,18 +511,15 @@ def _vertex_pass(
     tol: ToleranceConfig,
     violations: list[Violation] | None = None,
 ) -> list[PdrVertexReport | None]:
-    """Both characterizations at every vertex of one graph, a block of vertices at a time.
+    """Both characterizations at every vertex of one graph.
 
     The reports of :meth:`_VertexRows.reports`: without ``violations`` as
     :func:`is_pdr_around` gives them, with ``violations`` as
     :func:`verify_graph` needs them.
     """
-    stack = _GraphStack.of(g, dec)
-    reports: list[PdrVertexReport | None] = []
-    for graphs, vertices in stack.blocks():
-        rows = _vertex_block(stack, graphs, vertices, tol, violations is not None)
-        reports += rows.reports(range(len(vertices)), dec, violations)
-    return reports
+    one = np.zeros(1, dtype=np.int64)
+    rows = _vertex_block(_GraphStack.of(g, dec), one, np.arange(g.n), tol, violations is not None)
+    return rows.reports(range(g.n), dec, violations)
 
 
 def _vertex_block(
@@ -516,9 +533,12 @@ def _vertex_block(
     """Both characterizations at every listed vertex of every listed graph of a stack.
 
     Row r is vertex ``vertices[r % V]`` of graph ``graphs[r // V]``, for
-    V = len(vertices). With ``verify`` every row also gets its predistance
-    contract checked and its violations listed. ``system`` stands in for the
-    local spectrum and predistance family of a one-row block.
+    V = len(vertices). The loops over degree, Lanczos and the recurrence on
+    unit columns, run once over all rows; the partition check and the
+    predistance contract run in row chunks. With ``verify`` every row also
+    gets its predistance contract checked and its violations listed.
+    ``system`` stands in for the local spectrum and predistance family of a
+    one-row block.
     """
     spectra = stack.spectra
     adjacency, alpha = stack.adjacency[graphs], spectra.perron[graphs]
@@ -543,10 +563,9 @@ def _vertex_block(
     dist = stack.distances[graphs, vertices]
     ecc = dist.max(axis=1)
     eps = tol.scaled("eps_pdr", lam0)
-    part = _partition_rows(adjacency, alpha, dist, eps)
     extremal = ecc == block.sizes - 1
     # The polynomial check runs at extremal rows with a family; the others
-    # run as zero columns, so that every block stays one rectangle of rows.
+    # run as zero columns, so that all rows stay one rectangle.
     ran = extremal & np.array([e is None for e in block.errors])
     via_polynomials = ran.copy()
     if ran.any():
@@ -559,6 +578,12 @@ def _vertex_block(
     if verify:
         degree = stack.adjacency[graphs, vertices].sum(axis=1)
         violations = _contract_violations(block, lam0, alpha_u**2, degree, tol.eps_orth)
+        recurrence_levels = block.level_triples() if via_polynomials.any() else None
+    # The families' values are done with: the partition check runs without them.
+    family_errors = block.errors
+    del block
+    part = _partition_rows(adjacency, alpha, dist, eps)
+    if verify:
         for r in np.flatnonzero(part.passing != via_polynomials).tolist():
             disagreement = _disagreement(int(vertices[r]), bool(part.passing[r]))
             violations.setdefault(r, []).append(Violation("equivalence", disagreement))
@@ -566,12 +591,12 @@ def _vertex_block(
         # the spectral radius and match the recurrence read per level.
         pdr = np.flatnonzero(part.passing & via_polynomials)
         if len(pdr):
-            triples = part.triples(pdr)
+            triples = part.levels[0][np.searchsorted(part.passed, pdr)]  # zero past each row's cells
             levels = np.arange(triples.shape[1]) < part.cells[pdr, None]
             # Bare eps_pdr, stricter than the scaled spread threshold; kept
             # unscaled so that this gate is not loosened.
             sum_res = np.where(levels, np.abs(triples.sum(axis=2) - lam0[pdr, None]), 0.0).max(axis=1)
-            recurrence = block.level_triples()[pdr]
+            recurrence = recurrence_levels[pdr]
             width = max(triples.shape[1], recurrence.shape[1])
             gap = np.abs(
                 np.pad(triples, [(0, 0), (0, width - triples.shape[1]), (0, 0)])
@@ -592,7 +617,7 @@ def _vertex_block(
 
     flagged = np.zeros(R, dtype=bool)
     flagged[list(violations)] = True
-    flagged |= np.array([a is not None or b is not None for a, b in zip(local_errors, block.errors)])
+    flagged |= np.array([a is not None or b is not None for a, b in zip(local_errors, family_errors)])
     return _VertexRows(
         graphs=graphs,
         vertices=vertices,
@@ -602,7 +627,7 @@ def _vertex_block(
         via_polynomials=via_polynomials,
         partition=part,
         local_errors=local_errors,
-        family_errors=block.errors,
+        family_errors=family_errors,
         violations=violations,
         flagged=flagged,
         spectrum=None if system is None else system.spectrum,
@@ -658,17 +683,37 @@ def _contract_violations(
     """Orthogonality, normalization, closed forms, and recurrence residuals
     of every row of a predistance block, whose rows have spectral radius
     ``lam0``, squared Perron entry ``alpha2`` and degree ``degree``; row r's
-    violations in that order, for the rows that have any."""
+    violations in that order, for the rows that have any. The (rows, k, k)
+    products run in the row chunks of :func:`_row_chunks`, as for a graph of
+    order k."""
     vals, weights, support = block.vals, block.weights, block.support
-    # Block-sized temporaries are reused in place to bound the peak memory.
-    gram = (vals * weights[:, None, :]) @ vals.transpose(0, 2, 1)
-    norms2 = np.diagonal(gram, axis1=1, axis2=2).copy()
-    diagonal = np.arange(gram.shape[1])
-    gram[:, diagonal, diagonal] = 0.0
-    scale = norms2[:, :, None] * norms2[:, None, :]
-    np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
-    worst_orth = np.divide(np.abs(gram, out=gram), scale, out=gram).max(axis=(1, 2))
-    del gram, scale
+    R, k, _ = vals.shape
+    worst_orth = np.empty(R)
+    norms2, res, ref = np.empty((3, R, k))
+    diagonal = np.arange(k)
+    for rows in _row_chunks(R, 1, k):
+        v, w = vals[rows], weights[rows]
+        # Chunk-sized temporaries are reused in place to bound the peak memory.
+        gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+        norms2[rows] = np.diagonal(gram, axis1=1, axis2=2)
+        gram[:, diagonal, diagonal] = 0.0
+        scale = norms2[rows, :, None] * norms2[rows, None, :]
+        np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
+        worst_orth[rows] = np.divide(np.abs(gram, out=gram), scale, out=gram).max(axis=(1, 2))
+        del gram, scale
+
+        # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support,
+        # with the zero end coefficients dropping p_{-1} and p_{k}. The last
+        # row is the Golub-Welsch closure: the Krylov space ends at local
+        # degree + 1.
+        xp = v * support[rows, None, :]
+        combo = block.same[rows, :, None] * v
+        combo[:, 1:] += block.prev[rows, 1:, None] * v[:, :-1]
+        combo[:, :-1] += block.nxt[rows, :-1, None] * v[:, 1:]
+        res[rows] = np.sqrt(np.square(np.subtract(xp, combo, out=combo), out=combo) @ w[:, :, None])[:, :, 0]
+        ref[rows] = np.sqrt(np.square(xp, out=xp) @ w[:, :, None])[:, :, 0]
+        del xp, combo
+    bad = res > eps * np.maximum(1.0, ref)
 
     lam0_vals = vals[:, :, 0]
     norm_res = (np.abs(norms2 - alpha2[:, None] * lam0_vals) / np.maximum(1.0, np.abs(norms2))).max(axis=1)
@@ -683,18 +728,6 @@ def _contract_violations(
     lead = np.divide(p0, block.nxt[:, 0], out=np.zeros_like(p0), where=linear & (block.nxt[:, 0] != 0))
     bound = eps * np.maximum(1.0, expected)
     ok &= ~linear | ((np.abs(lead * block.same[:, 0]) <= bound) & (np.abs(lead - expected) <= bound))
-
-    # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support,
-    # with the zero end coefficients dropping p_{-1} and p_{k}. The last row
-    # is the Golub-Welsch closure: the Krylov space ends at local degree + 1.
-    xp = vals * support[:, None, :]
-    combo = block.same[:, :, None] * vals
-    combo[:, 1:] += block.prev[:, 1:, None] * vals[:, :-1]
-    combo[:, :-1] += block.nxt[:, :-1, None] * vals[:, 1:]
-    res = np.sqrt(np.square(np.subtract(xp, combo, out=combo), out=combo) @ weights[:, :, None])[:, :, 0]
-    ref = np.sqrt(np.square(xp, out=xp) @ weights[:, :, None])[:, :, 0]
-    del xp, combo
-    bad = res > eps * np.maximum(1.0, ref)
 
     out: dict[int, list[Violation]] = {}
     vertex = block.vertices.tolist()
@@ -765,18 +798,19 @@ def _level_counts(g: Graph, vertices: np.ndarray) -> np.ndarray:
     """Exact (down, stay, up) neighbor counts in the distance partition around each of ``vertices``.
 
     Entry (r, v) counts the neighbors of v one level down, on v's level,
-    and one level up, around vertices[r]. One array operation per block of
-    max(1, _BLOCK_ENTRIES // (8 n^2)) vertices: numpy sums a boolean mask
-    through int64 buffers as large as the mask, so the byte-sized masks
-    get an eighth of the pass's entry budget.
+    and one level up, around vertices[r]. Each row's neighbor counts into
+    every level come from one product of the adjacency with the row's level
+    one-hot, a chunk of :func:`_row_chunks` at a time; the float64 sums of
+    at most n ones are exact.
     """
     out = []
-    size = max(1, _BLOCK_ENTRIES // (8 * g.n**2))
-    for lo in range(0, len(vertices), size):
-        dist = g.distances[vertices[lo : lo + size]]
-        level, other = dist[:, :, None], dist[:, None, :]  # of v, and of its possible neighbor w
-        out.append(np.stack([(g.adjacency & (other == level + s)).sum(axis=2) for s in (-1, 0, 1)], axis=2))
-    return np.concatenate(out)
+    adjacency = g.adjacency_matrix()
+    for rows in _row_chunks(len(vertices), len(vertices), g.n):
+        dist = g.distances[vertices[rows]]
+        onehot = (dist[:, :, None] == np.arange(-1, int(dist.max()) + 2)).astype(float)  # levels -1 .. ecc + 1
+        into = adjacency @ onehot  # (rows, v, level + 1): neighbors of v on each level
+        out.append(np.take_along_axis(into, dist[:, :, None] + np.arange(3), axis=2))
+    return np.concatenate(out).astype(np.int64)
 
 
 def _intersection_arrays(g: Graph, vertices: np.ndarray) -> list[IntersectionArray | None]:
@@ -1072,11 +1106,11 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
 
     # The vertex pass over every (graph, vertex) row; a graph leaves the
     # stack when a row of it is flagged or when every row passes.
-    blocks = [_vertex_block(stack, gr, vx, tol, verify=True) for gr, vx in stack.blocks()]
+    n = adjacency.shape[1]
+    rows = _vertex_block(stack, np.arange(len(good)), np.arange(n), tol, verify=True)
     flagged, failing = np.zeros((2, len(good)), dtype=bool)
-    for rows in blocks:
-        flagged[rows.graphs[rows.flagged]] = True
-        failing[rows.graphs[~rows.partition.passing]] = True
+    flagged[rows.graphs[rows.flagged]] = True
+    failing[rows.graphs[~rows.partition.passing]] = True
     for j, b in enumerate(good.tolist()):
         verdict, all_pdr = VERDICT_NOT_PDR, False
         if flagged[j] or not failing[j]:
@@ -1084,11 +1118,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
             _cache_distances(g, distances[j])
             dec = stack.spectra.decomposition(j)
             try:
-                reports: list[PdrVertexReport | None] = []
-                for rows in blocks:
-                    if rows.graphs[0] <= j <= rows.graphs[-1]:
-                        lo, hi = np.searchsorted(rows.graphs, [j, j + 1]).tolist()
-                        reports += rows.reports(range(lo, hi), dec, found[b])
+                reports = rows.reports(range(j * n, (j + 1) * n), dec, found[b])
                 verdict, all_pdr = _pdr_suite(g, dec, reports, [p[j] for p in powers], table[j], tol, found[b])
             except NumericalError as exc:
                 found[b].append(Violation("numerical", str(exc)))

@@ -25,6 +25,12 @@ from .spectral import LocalSpectrum, NumericalError
 # numerically coincident.
 _RANK_FLOOR = 1e-20
 
+# Reductions over many rows, here and in the vertex pass, take the rows in
+# the chunks of _row_chunks, which keep each temporary within this many
+# float64 entries (past n = 90 a single row exceeds it); every n <= 6 graph
+# fits one chunk.
+_BLOCK_ENTRIES = 2**13
+
 
 class IllConditionedMeasureError(NumericalError):
     """Support points too close together for a stable orthogonal basis."""
@@ -110,6 +116,19 @@ def local_inner_product(ls: LocalSpectrum, f: Polynomial, g: Polynomial) -> floa
     """
     x = ls.eigenvalues
     return float(np.dot(ls.local_mults, f(x) * g(x)))
+
+
+def _row_chunks(R: int, V: int, n: int) -> list[slice]:
+    """Consecutive slices of R rows that come in runs of V per graph of order n.
+
+    A slice holds at most max(1, _BLOCK_ENTRIES // n^2) rows: whole runs
+    while a run fits, else consecutive rows of one run.
+    """
+    size = max(1, _BLOCK_ENTRIES // n**2)
+    if size >= V:
+        step = size // V * V
+        return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
+    return [slice(lo, min(run + V, lo + size)) for run in range(0, R, V) for lo in range(run, run + V, size)]
 
 
 def _run_recurrence(
@@ -248,7 +267,9 @@ def _predistance_block(
                 )
         off[:, i] = np.where(live, norm, 0.0)
         q[:, i + 1] = np.divide(v, norm[:, None], out=np.zeros_like(v), where=live[:, None])
-    same = (np.square(q) @ support[:, :, None])[:, :, 0]
+    same = np.zeros((B, k))
+    for rows in _row_chunks(B, 1, k):
+        same[rows] = (np.square(q[rows]) @ support[rows, :, None])[:, :, 0]
 
     # p_i = s_i phat_i with s_i = alpha_u^2 phat_i(lambda0) enforces
     # ||p_i||^2 = alpha_u^2 p_i(lambda0) with p_i(lambda0) > 0. The values

@@ -412,6 +412,30 @@ def test_python_dash_m_entry():
     assert doc["classification"]["verdict"] == "distance_regular"
 
 
+def test_main_calls_in_one_process_match_separate_processes(capsys):
+    # main keeps one parser per process: a flag given to one call must not
+    # reach the next, whichever subcommand the next one runs.
+    argvs = [
+        ["analyze", "--named", "petersen", "--eps-pdr", "3e-7"],
+        ["spectrum", "--named", "path:3", "--vertex", "1", "--eps-mult", "1e-6"],
+        ["analyze", "--named", "petersen"],
+        ["verify", "--enumerate", "4", "--per-graph", "--eps-walk=-1"],
+        ["verify", "--enumerate", "4", "--per-graph"],
+        ["analyze", "Bw", "--named", "petersen"],
+        ["spectrum", "--named", "path:3"],
+    ]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in argvs]
+    src = os.path.dirname(os.path.dirname(pdrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "pdrkit", *argv], capture_output=True, text=True, env=env)
+        separate.append((proc.returncode, proc.stdout))
+    assert in_process == separate
+    assert [code for code, _ in in_process] == [0, 0, 0, 1, 0, 2, 0]
+    assert in_process[0][1] != in_process[2][1] and in_process[3][1] != in_process[4][1]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_exits_quietly_when_stdout_closes(jobs):
     # The reader takes one line and goes away, as `| head -1` does; n = 6

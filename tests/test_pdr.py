@@ -139,11 +139,26 @@ def reference_partition_check(g, dec, labels, eps):
     return np.stack([flows[cell].mean(axis=0) for cell in cells]), None
 
 
+def reference_triples(entries):
+    # Level i reads (entries[i, i-1], entries[i, i], entries[i, i+1]), zero
+    # past the ends; None when an entry off the band is nonzero.
+    m = len(entries)
+    if any(entries[i, j] != 0 for i in range(m) for j in range(m) if abs(i - j) > 1):
+        return None
+    return tuple(
+        (float(entries[i, i - 1]) if i else 0.0, float(entries[i, i]), float(entries[i, i + 1]) if i + 1 < m else 0.0)
+        for i in range(m)
+    )
+
+
 def test_partition_check_matches_loop_reference():
     # Distance partitions of every n <= 5 graph and of large-cell catalog
-    # graphs, plus seeded random label rows: the same witnesses, and
-    # quotients equal to the last bit.
+    # graphs, plus seeded random label rows: the same witnesses, quotients
+    # equal to the last bit, and the same level triples, or a ValueError
+    # where a partition that is not a distance partition has an off-band
+    # quotient entry.
     rng = np.random.default_rng(7)
+    off_band = 0
     graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
     graphs += [generate_named(*s) for s in [("complete", 30), ("complete_bipartite", 10, 20), ("hypercube", 5)]]
     for g in graphs:
@@ -156,10 +171,19 @@ def test_partition_check_matches_loop_reference():
             want_entries, want_witness = reference_partition_check(g, dec, labels, eps)
             if want_witness is None:
                 assert witness is None and quotient.entries.tobytes() == want_entries.tobytes()
+                want_triples = reference_triples(want_entries)
+                if want_triples is None:
+                    off_band += 1
+                    with pytest.raises(ValueError, match="not tridiagonal"):
+                        quotient.tridiagonal()
+                else:
+                    assert quotient.tridiagonal() == want_triples
+                assert quotient.levels == QuotientMatrix(entries=quotient.entries).levels
             else:
                 assert quotient is None
                 got = (witness.cell, witness.target, witness.vertex_a, witness.vertex_b)
                 assert got + (witness.value_a, witness.value_b) == want_witness
+    assert off_band > 0
 
 
 # --- per-vertex reports ---------------------------------------------------------

@@ -35,7 +35,7 @@ from pdrkit import (
     serialize_graph6,
     verify_graph,
 )
-from pdrkit import pdr
+from pdrkit import pdr, predistance
 from pdrkit.spectral import _SpectralStack
 from test_pdr import reference_partition_check
 
@@ -274,22 +274,96 @@ def test_verify_graph_matches_per_vertex_loop(monkeypatch, spec):
 
 
 def test_blocks_stay_under_the_entry_budget(monkeypatch):
-    # n = 40 takes blocks of 5 vertices: 5 * 40 * 40 = 8,000 entries.
-    sizes = Counter()
-    block = pdr._vertex_block
+    # The partition check and the predistance contract take their rows in
+    # chunks: n = 40 gives chunks of 5 vertices, 5 * 40 * 40 = 8,000 entries,
+    # and every chunk of the contract keeps its (rows, k, k) products in the
+    # budget too. The loops over degree see every row at once.
+    chunks, partition = [], []
+    row_chunks, partition_chunk = pdr._row_chunks, pdr._partition_chunk
 
-    def count(g, dec, vertices, *args, **kwargs):
-        sizes[len(vertices)] += 1
-        return block(g, dec, vertices, *args, **kwargs)
+    def record_chunks(R, V, n):
+        out = row_chunks(R, V, n)
+        chunks.append((R, V, n, [(s.start, s.stop) for s in out]))
+        return out
 
-    monkeypatch.setattr(pdr, "_vertex_block", count)
+    def record_partition(adjacency, alpha, labels, eps):
+        partition.append((len(adjacency), *labels.shape, int(labels.max()) + 1))
+        return partition_chunk(adjacency, alpha, labels, eps)
+
+    monkeypatch.setattr(pdr, "_row_chunks", record_chunks)
+    monkeypatch.setattr(pdr, "_partition_chunk", record_partition)
     g = generate_named("cycle", 40)
-    pdr._vertex_pass(g, decompose(g), DEFAULT_TOL)
-    assert sizes == {5: 8} and 5 * g.n**2 <= pdr._BLOCK_ENTRIES
-    sizes.clear()
+    pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
+    (R_contract, one, k, contract), (R, V, n, part) = chunks
+    assert (R, V, n) == (40, 40, 40) and part == [(lo, lo + 5) for lo in range(0, 40, 5)]
+    assert (R_contract, one) == (40, 1) and 1 < k <= n
+    assert [lo for lo, _ in contract] == [0] + [hi for _, hi in contract[:-1]] and contract[-1][1] == 40
+    assert all((hi - lo) * k * k <= predistance._BLOCK_ENTRIES for lo, hi in contract)
+    assert [rows[:3] for rows in partition] == [(1, 5, 40)] * 8
+    assert all(rows * n * m <= predistance._BLOCK_ENTRIES for _, rows, n, m in partition)
+
+    # A graph past the budget's reach splits a run; a stack of small graphs
+    # takes whole graphs per chunk.
+    assert pdr._row_chunks(3 * 100, 100, 100) == [slice(lo, lo + 1) for lo in range(300)]
+    assert pdr._row_chunks(303 * 6, 6, 6) == [slice(lo, min(1818, lo + 222)) for lo in range(0, 1818, 222)]
+    chunks.clear()
     g = generate_named("complete", 6)
-    pdr._vertex_pass(g, decompose(g), DEFAULT_TOL)
-    assert sizes == {6: 1}
+    pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
+    assert [c[3] for c in chunks] == [[(0, 6)], [(0, 6)]]
+
+
+@pytest.mark.parametrize("case", ["verify_graph cycle:40", "_vertex_pass path:40", "verify_graphs n=6 stack"])
+def test_degree_loops_run_once_per_stack(monkeypatch, case):
+    # Lanczos and the recurrence on unit columns each loop over degree in
+    # Python; they run once over every row of a stack, not once per chunk.
+    calls = Counter()
+    for name in ("_predistance_block", "_polynomial_gap"):
+
+        def wrapper(*args, _fn=getattr(pdr, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(pdr, name, wrapper)
+    if case == "verify_graph cycle:40":
+        verify_graph(generate_named("cycle", 40))
+    elif case == "_vertex_pass path:40":
+        g = generate_named("path", 40)
+        pdr._vertex_pass(g, decompose(g), DEFAULT_TOL)
+    else:
+        graphs = list(enumerate_connected(6))[: pdr._stack_size(6)]
+        assert len(graphs) == 303
+        pdr.verify_graphs(graphs)
+    assert calls == {"_predistance_block": 1, "_polynomial_gap": 1}
+
+
+# tracemalloc peak of verify_graph on a fresh graph, in MiB, measured while
+# the degree loops still ran once per 2^13-entry row block; running them
+# once per stack may add at most 0.5 MiB.
+PARENT_PEAK_MIB = {
+    ("path", 16): 0.29,
+    ("path", 22): 0.52,
+    ("cycle", 20): 0.23,
+    ("path", 40): 1.55,
+    ("cycle", 40): 0.94,
+    ("path", 62): 5.56,
+    ("cycle", 62): 2.95,
+}
+
+
+def test_verify_graph_peak_memory_stays_near_the_parent():
+    import tracemalloc
+
+    verify_graph(generate_named("petersen"))  # first-call imports and caches stay out of the peaks
+    peaks = {}
+    for spec in PARENT_PEAK_MIB:
+        g = generate_named(*spec)
+        tracemalloc.start()
+        try:
+            verify_graph(g)
+            peaks[spec] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert {spec: peak for spec, peak in peaks.items() if peak > PARENT_PEAK_MIB[spec] + 0.5} == {}
 
 
 def doctored_decomposition(g, eigenvalues, mults):
