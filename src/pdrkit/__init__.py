@@ -17,7 +17,6 @@ from .graph_core import (
     NAMED_FAMILIES,
     UnsupportedSizeError,
     bipartition,
-    distance_matrices,
     distances_from,
     enumerate_connected,
     generate_named,
@@ -26,26 +25,19 @@ from .graph_core import (
 )
 from .spectral import (
     DEFAULT_TOL,
-    DEFAULT_WALK_CAP,
     GroupingAmbiguityError,
     LocalSpectrum,
     NumericalError,
     SpectralDecomposition,
     ToleranceConfig,
     adjacency_powers,
-    crossed_multiplicity,
     decompose,
-    integer_walk_count,
     local_spectrum,
-    walk_count,
 )
 from .predistance import (
     IllConditionedMeasureError,
-    Polynomial,
     PredistanceSystem,
-    apply_poly_column,
     build_predistance,
-    local_inner_product,
 )
 from .pdr import (
     Classification,
@@ -64,14 +56,12 @@ from .pdr import (
     WALK_REGULAR,
     classify,
     combinatorial_intersection_array,
-    perron_transform_consistency,
     is_pdr_around,
     pseudo_regular_check,
     verify_graph,
     verify_graphs,
     walk_formula_check,
     walk_regularity,
-    weighted_distance_column,
 )
 
 from types import ModuleType as _ModuleType

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -53,7 +54,7 @@ from .spectral import (
     decompose,
     local_spectrum,
 )
-from .predistance import build_predistance
+from .predistance import PredistanceSystem, build_predistance
 from .pdr import InternalCheckError, _stack_size, _vertex_pass, classify, verify_graphs
 
 # Exit code of verify when standard output is closed before it finishes.
@@ -129,14 +130,21 @@ def _load_graph(args) -> Graph:
 
 
 def _tolerances(args) -> ToleranceConfig:
+    """The exposed tolerances from their flags, else their environment
+    variables; a value that is not a finite number > 0 raises ValueError
+    naming its flag or variable."""
     values = {}
     for name in _EXPOSED_TOLERANCES:
-        env = os.environ.get("PDRKIT_" + name.upper())
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = float(flag)
-        elif env is not None:
-            values[name] = float(env)
+        flag, var = getattr(args, name), "PDRKIT_" + name.upper()
+        source, text = ("--" + name.replace("_", "-"), flag) if flag is not None else (var, os.environ.get(var))
+        if text is None:
+            continue
+        try:
+            values[name] = float(text)
+        except ValueError:
+            values[name] = math.nan
+        if not 0 < values[name] < math.inf:  # false for nan too
+            raise ValueError(f"{source} must be a finite number > 0, got {text}")
     return ToleranceConfig(**values) if values else DEFAULT_TOL
 
 
@@ -239,6 +247,14 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     }
 
 
+def _monomial_coefficients(system: PredistanceSystem) -> list[list[float]]:
+    """Each p_i's monomial coefficients in ascending degree, from the recurrence
+    run on coefficient vectors, where x shifts a vector up one degree: a
+    reporting expansion that loses accuracy as the local degree grows."""
+    coeffs = system._run(np.arange(len(system.recurrence)) == 0, lambda c: np.roll(c, 1, axis=0))
+    return [c[: i + 1].tolist() for i, c in enumerate(coeffs)]
+
+
 def spectrum_report(g: Graph, vertex: int | None, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Global spectrum, plus the local spectrum and polynomials of one vertex;
     past short graph6 (n > 62) it raises :class:`UnsupportedSizeError` before any spectral work."""
@@ -262,7 +278,7 @@ def spectrum_report(g: Graph, vertex: int | None, tol: ToleranceConfig = DEFAULT
             "eccentricity": int(distances_from(g, vertex).max()),
         }
         out["predistance"] = {
-            "polynomials": [list(p.coeffs) for p in system.polys],
+            "polynomials": _monomial_coefficients(system),
             "recurrence": [list(t) for t in system.recurrence],
             "values_at_radius": list(system.values_at_radius),
         }
@@ -454,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("spectrum", help="global spectrum, optionally one vertex's local data")
     _add_graph_input(p_sp)
     p_sp.add_argument("--vertex", type=int, default=None, help="vertex for local spectrum output; its recurrence "
-                      "is exact, its monomial polynomials a reporting expansion losing accuracy as local degree grows")
+                      "is exact, its monomial polynomials are expanded from it for reporting and lose accuracy as "
+                      "local degree grows")
     _add_tolerance_flags(p_sp)
     p_sp.set_defaults(func=_cmd_spectrum)
 

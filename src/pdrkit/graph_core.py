@@ -318,17 +318,6 @@ def distances_from(g: Graph, u: int) -> np.ndarray:
     return dist
 
 
-def distance_matrices(g: Graph) -> list[np.ndarray]:
-    """0/1 matrices A_0..A_D where (A_i)_{uv} = 1 iff dist(u, v) = i.
-
-    A_0 is the identity pattern, A_1 the adjacency, and the matrices sum to
-    the all-ones pattern.
-    """
-    distances_from(g, 0)  # raises ConnectivityError on disconnected input
-    dist = g.distances
-    return [(dist == i).astype(np.int8) for i in range(int(dist.max()) + 1)]
-
-
 # ---------------------------------------------------------------------------
 # generators
 

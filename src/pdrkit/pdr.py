@@ -44,7 +44,6 @@ from .spectral import (
     decompose,
 )
 from .predistance import (
-    PredistanceSystem,
     _PredistanceBlock,
     _predistance_block,
     _row_chunks,
@@ -188,23 +187,6 @@ class GraphCheckResult:
     verdict: str | None
     all_pdr: bool
     violations: tuple[Violation, ...]
-
-
-def weighted_distance_column(
-    g: Graph,
-    dec: SpectralDecomposition,
-    u: int,
-    level: int,
-) -> np.ndarray:
-    """Column u of the Perron-weighted distance-``level`` matrix.
-
-    Entry v is perron[u] * perron[v] when dist(u, v) == level, else 0.
-    """
-    dist = distances_from(g, u)
-    ecc = int(dist.max())
-    if not 0 <= level <= ecc:
-        raise ValueError(f"level {level} out of range for eccentricity {ecc}")
-    return np.where(dist == level, dec.perron * dec.perron[u], 0.0)
 
 
 def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = None) -> np.ndarray:
@@ -403,8 +385,7 @@ class _VertexRows:
     error from its local multiplicities and from its predistance family.
     ``violations[r]`` lists the row's violations in the order
     :func:`verify_graph` reports them (empty outside it), and ``flagged[r]``
-    is set when the row has a violation or an error. ``spectrum`` is the
-    local spectrum of a one-row block built from a given predistance system.
+    is set when the row has a violation or an error.
     """
 
     graphs: np.ndarray
@@ -418,7 +399,6 @@ class _VertexRows:
     family_errors: list[Exception | None]
     violations: dict[int, list[Violation]]
     flagged: np.ndarray
-    spectrum: LocalSpectrum | None = None
 
     def reports(
         self, rows: range, dec: SpectralDecomposition, violations: list[Violation] | None
@@ -457,7 +437,7 @@ class _VertexRows:
                     via_polynomials=via_partition,
                     extremal=bool(self.extremal[r]),
                     eccentricity=int(self.ecc[r]),
-                    spectrum=self.spectrum or _local_spectrum(dec, u, self.mults[r, :k]),
+                    spectrum=_local_spectrum(dec, u, self.mults[r, :k]),
                     quotient=self.partition.quotient(r) if via_partition else None,
                     witness=None if via_partition else self.partition.partition_witness(r),
                 )
@@ -474,8 +454,6 @@ def is_pdr_around(
     dec: SpectralDecomposition,
     u: int,
     tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    system: PredistanceSystem | None = None,
 ) -> PdrVertexReport:
     """Decide pseudo-distance-regularity around u by both characterizations.
 
@@ -483,13 +461,12 @@ def is_pdr_around(
     be extremal (eccentricity equal to local degree) and each column
     p_i(A)e_u, run from the recurrence, must reproduce the weighted distance
     column for every level. The two verdicts must agree or
-    :class:`InternalCheckError` is raised. ``system`` allows reuse of a
-    prebuilt predistance system and its local spectrum. The one-vertex case
-    of the vertex pass that :func:`classify` runs.
+    :class:`InternalCheckError` is raised. The one-vertex case of the vertex
+    pass that :func:`classify` runs.
     """
     distances_from(g, u)  # validates u and connectivity
     one = np.zeros(1, dtype=np.int64)
-    rows = _vertex_block(_GraphStack.of(g, dec), one, np.array([u]), tol, system=system)
+    rows = _vertex_block(_GraphStack.of(g, dec), one, np.array([u]), tol)
     (report,) = rows.reports(range(1), dec, None)
     return report
 
@@ -528,7 +505,6 @@ def _vertex_block(
     vertices: np.ndarray,
     tol: ToleranceConfig,
     verify: bool = False,
-    system: PredistanceSystem | None = None,
 ) -> _VertexRows:
     """Both characterizations at every listed vertex of every listed graph of a stack.
 
@@ -537,8 +513,6 @@ def _vertex_block(
     unit columns, run once over all rows; the partition check and the
     predistance contract run in row chunks. With ``verify`` every row also
     gets its predistance contract checked and its violations listed.
-    ``system`` stands in for the local spectrum and predistance family of a
-    one-row block.
     """
     spectra = stack.spectra
     adjacency, alpha = stack.adjacency[graphs], spectra.perron[graphs]
@@ -546,19 +520,16 @@ def _vertex_block(
     R = len(vertices)
     lam0 = spectra.eigenvalues[graphs, 0]
     alpha_u = spectra.perron[graphs, vertices]
-    if system is None:
-        mults, local_errors = _clamped_local_mults(spectra, graphs, vertices, tol)
-        # Each row's support moved to its front, in decreasing order.
-        present = mults > 0
-        sizes = present.sum(axis=1)
-        width = max(1, int(sizes.max()))
-        order = np.argsort(~present, axis=1, kind="stable")[:, :width]
-        kept = np.arange(width) < sizes[:, None]
-        support = np.where(kept, spectra.eigenvalues[graphs[:, None], order], 0.0)
-        weights = np.where(kept, mults[np.arange(R)[:, None], order], 0.0)
-        block = _predistance_block(vertices, support, weights, sizes, lam0, alpha_u)
-    else:
-        mults, local_errors, block = system.spectrum.local_mults[None], [None], _PredistanceBlock.of_system(system)
+    mults, local_errors = _clamped_local_mults(spectra, graphs, vertices, tol)
+    # Each row's support moved to its front, in decreasing order.
+    present = mults > 0
+    sizes = present.sum(axis=1)
+    width = max(1, int(sizes.max()))
+    order = np.argsort(~present, axis=1, kind="stable")[:, :width]
+    kept = np.arange(width) < sizes[:, None]
+    support = np.where(kept, spectra.eigenvalues[graphs[:, None], order], 0.0)
+    weights = np.where(kept, mults[np.arange(R)[:, None], order], 0.0)
+    block = _predistance_block(vertices, support, weights, sizes, lam0, alpha_u)
 
     dist = stack.distances[graphs, vertices]
     ecc = dist.max(axis=1)
@@ -630,7 +601,6 @@ def _vertex_block(
         family_errors=family_errors,
         violations=violations,
         flagged=flagged,
-        spectrum=None if system is None else system.spectrum,
     )
 
 
@@ -813,15 +783,19 @@ def _level_counts(g: Graph, vertices: np.ndarray) -> np.ndarray:
     return np.concatenate(out).astype(np.int64)
 
 
-def _intersection_arrays(g: Graph, vertices: np.ndarray) -> list[IntersectionArray | None]:
-    """:func:`combinatorial_intersection_array` at each of ``vertices``, from one batched count."""
+def _intersection_arrays(g: Graph, vertices: np.ndarray) -> tuple[list[IntersectionArray | None], np.ndarray]:
+    """:func:`combinatorial_intersection_array` at each of ``vertices``, from one
+    batched count, and that count as one array: entry (r, i) holds the (down,
+    stay, up) counts of level i around ``vertices[r]`` (of the level's lowest
+    vertex where they differ), zero past its eccentricity."""
     counts = _level_counts(g, vertices)
     dist = g.distances[vertices]
-    ecc = dist.max(axis=1).tolist()
+    ecc = dist.max(axis=1)
     # Each level's counts are those of its lowest vertex; the array exists
     # when every vertex of the level has them.
-    lowest = np.argmax(dist[:, None, :] == np.arange(max(ecc) + 1)[:, None], axis=2)
+    lowest = np.argmax(dist[:, None, :] == np.arange(int(ecc.max()) + 1)[:, None], axis=2)
     levels = np.take_along_axis(counts, lowest[:, :, None], axis=1)
+    levels[np.arange(levels.shape[1]) > ecc[:, None]] = 0
     regular = (np.take_along_axis(levels, dist[:, :, None], axis=1) == counts).all(axis=(1, 2))
     arrays: list[IntersectionArray | None] = []
     for r, ok in enumerate(regular.tolist()):
@@ -830,7 +804,7 @@ def _intersection_arrays(g: Graph, vertices: np.ndarray) -> list[IntersectionArr
             continue
         down, stay, up = map(tuple, levels[r, : ecc[r] + 1].T.tolist())
         arrays.append(IntersectionArray(b=up[:-1], c=down[1:], a=stay, part=None))
-    return arrays
+    return arrays, levels
 
 
 def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | None:
@@ -842,7 +816,7 @@ def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | No
     the batched count that :func:`classify` makes.
     """
     distances_from(g, u)  # validates u and connectivity
-    return _intersection_arrays(g, np.array([u]))[0]
+    return _intersection_arrays(g, np.array([u]))[0][0]
 
 
 def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> str:
@@ -908,7 +882,7 @@ def classify(
 
     degrees = g.degrees
     alpha = dec.perron
-    arrays = _intersection_arrays(g, np.arange(g.n))
+    arrays, counts = _intersection_arrays(g, np.arange(g.n))
 
     # The Perron levels use eps_alpha unscaled: the Perron vector has squared
     # norm n whatever the spectral radius, so its entries do not grow with it.
@@ -950,7 +924,7 @@ def classify(
     # distance cell; with unit ratios this also covers the regular case.
     vertices = np.array([r.vertex for r in reports])
     triples = [r.quotient.tridiagonal() for r in reports]
-    res = _transform_residuals(g, alpha, vertices, triples, [arrays[u] for u in vertices])
+    res = _transform_residuals(g, alpha, vertices, triples, counts[vertices])
     wide = res.max(axis=(1, 2)) > tol.scaled("eps_pdr", dec.spectral_radius)
     if wide.any():
         raise InternalCheckError(
@@ -971,24 +945,24 @@ def _transform_residuals(
     alpha: np.ndarray,
     vertices: np.ndarray,
     triples: Sequence[Sequence[tuple[float, float, float]]],
-    arrays: Sequence[IntersectionArray],
+    counts: np.ndarray,
 ) -> np.ndarray:
     """Residuals between pseudo numbers and transformed integer counts, one operation for every vertex.
 
     Row r belongs to vertices[r], with its quotient's level ``triples[r]``
-    and integer array ``arrays[r]``. Entry (r, i) holds the (down, stay,
-    up) residuals at level i; boundary terms, and levels past the vertex's
-    eccentricity, are zero. Assumes the Perron entries are constant on each
-    distance cell.
+    and integer (down, stay, up) counts per level ``counts[r]``, zero past
+    its eccentricity. Entry (r, i) holds the (down, stay, up) residuals at
+    level i; boundary terms, and levels past the vertex's eccentricity, are
+    zero. Assumes the Perron entries are constant on each distance cell.
     """
     dist = g.distances[vertices]
-    R, width = len(vertices), int(dist.max()) + 2  # one zero level past the deepest
+    R, width = len(vertices), counts.shape[1] + 1  # one zero level past the deepest
     pseudo, exact = np.zeros((2, R, width, 3))
-    for r, (levels, array) in enumerate(zip(triples, arrays)):
-        pseudo[r, : len(levels)] = levels
-        exact[r, : len(array.a), 0] = (0, *array.c)
-        exact[r, : len(array.a), 1] = array.a
-        exact[r, : len(array.a), 2] = (*array.b, 0)
+    # Every report's triples in one assignment: entry j of row r is level j.
+    sizes = np.array([len(levels) for levels in triples])
+    row = np.repeat(np.arange(R), sizes)
+    pseudo[row, np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = [t for x in triples for t in x]
+    exact[:, :-1] = counts
     key = (dist + width * np.arange(R)[:, None]).ravel()
     members = np.bincount(key, minlength=R * width).reshape(R, width)
     level_alpha = np.bincount(key, weights=np.broadcast_to(alpha, dist.shape).ravel(), minlength=R * width)
@@ -998,34 +972,6 @@ def _transform_residuals(
     res[:, 1:, 0] = np.abs(pseudo[:, 1:, 0] - level_alpha[:, :-1] / level_alpha[:, 1:] * exact[:, 1:, 0])
     res[:, :-1, 2] = np.abs(pseudo[:, :-1, 2] - level_alpha[:, 1:] / level_alpha[:, :-1] * exact[:, :-1, 2])
     return res
-
-
-def perron_transform_consistency(
-    g: Graph,
-    dec: SpectralDecomposition,
-    u: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
-    """Residuals between pseudo numbers and Perron-ratio transforms at u.
-
-    Requires u to be distance-regular around in the integer sense and the
-    Perron vector constant on each distance cell; both are checked and
-    reported as errors rather than silently skipped. Returns a matrix of
-    (down, stay, up) residuals per level.
-    """
-    array = combinatorial_intersection_array(g, u)
-    if array is None:
-        raise ValueError(f"vertex {u} is not distance-regular around in the integer sense")
-    dist = distances_from(g, u)
-    wide = np.flatnonzero(_cell_spread(dec.perron, dist) > tol.scaled("eps_alpha", dec.spectral_radius))
-    if len(wide):
-        raise ValueError(f"Perron vector is not constant on distance cell {wide[0]} around vertex {u}")
-    quotient, _ = pseudo_regular_check(g, dec, dist, tol)
-    if quotient is None:
-        raise InternalCheckError(
-            f"vertex {u} satisfies the integer regularity precondition but fails the pseudo-regular check"
-        )
-    return _transform_residuals(g, dec.perron, np.array([u]), [quotient.tridiagonal()], [array])[0, : len(array.a)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,18 @@
 The measure places the vertex's local multiplicities on its local
 eigenvalues. Lanczos on diag(support), started from the square roots of the
 weights, yields the family's values on the support and its three-term
-recurrence at once; the columns p_i(A)e_u and the monomial coefficients are
-derived by running the recurrence. Each p_i is scaled so that ||p_i||^2 is
-the squared Perron entry times p_i(spectral radius) > 0, which makes p_0 the
-squared Perron entry and p_1 = (p_0 * spectral radius / vertex degree) * x.
+recurrence at once; the columns p_i(A)e_u are derived by running the
+recurrence. Each p_i is scaled so that ||p_i||^2 is the squared Perron entry
+times p_i(spectral radius) > 0, which makes p_0 the squared Perron entry and
+p_1 = (p_0 * spectral radius / vertex degree) * x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .graph_core import Graph
 from .spectral import LocalSpectrum, NumericalError
@@ -34,28 +32,6 @@ _BLOCK_ENTRIES = 2**13
 
 class IllConditionedMeasureError(NumericalError):
     """Support points too close together for a stable orthogonal basis."""
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial; monomial coefficients in ascending degree order."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Evaluate at a scalar or array via Horner."""
-        return npoly.polyval(x, self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,17 +52,6 @@ class PredistanceSystem:
     recurrence: tuple[tuple[float, float, float], ...]
     values_at_radius: tuple[float, ...]
 
-    @cached_property
-    def polys(self) -> tuple[Polynomial, ...]:
-        """Monomial coefficients, a reporting expansion; ``polys[i]`` has degree i.
-
-        It loses accuracy as the local degree grows (at vertex 0 of path:40,
-        local degree 39, coefficients reach 3e5 and Horner on them misses
-        :meth:`columns` by 2.7e-5); ``recurrence`` is the exact description.
-        """
-        coeffs = self._run(np.arange(len(self.recurrence)) == 0, lambda c: np.roll(c, 1, axis=0))
-        return tuple(Polynomial(c[: i + 1]) for i, c in enumerate(coeffs))
-
     def columns(self, g: Graph) -> Iterator[np.ndarray]:
         """p_0(A)e_u, p_1(A)e_u, ... for the vertex u, one matvec per degree."""
         A = g.adjacency_matrix()
@@ -97,25 +62,6 @@ class PredistanceSystem:
         prev, same, nxt = np.array(self.recurrence).T[:, None, :]
         runs = _run_recurrence(unit[:, None], np.array(self.values_at_radius[:1]), prev, same, nxt, times_x)
         return (col[:, 0] for col in runs)
-
-    def level_triples(self) -> tuple[tuple[float, float, float], ...]:
-        """Recurrence coefficients regrouped per level as (down, stay, up).
-
-        Level i collects the coefficient of p_i in x * p_{i-1} (down), in
-        x * p_i (stay), and in x * p_{i+1} (up). At a vertex where the graph
-        is pseudo-distance-regular these are the local intersection numbers.
-        """
-        return tuple(map(tuple, _PredistanceBlock.of_system(self).level_triples()[0].tolist()))
-
-
-def local_inner_product(ls: LocalSpectrum, f: Polynomial, g: Polynomial) -> float:
-    """Scalar product sum_i m_u(lambda_i) f(lambda_i) g(lambda_i).
-
-    Runs over the full distinct-eigenvalue list; zero-multiplicity terms
-    contribute nothing.
-    """
-    x = ls.eigenvalues
-    return float(np.dot(ls.local_mults, f(x) * g(x)))
 
 
 def _row_chunks(R: int, V: int, n: int) -> list[slice]:
@@ -176,25 +122,14 @@ class _PredistanceBlock:
     nxt: np.ndarray
     errors: list[Exception | None]
 
-    @classmethod
-    def of_system(cls, system: PredistanceSystem) -> "_PredistanceBlock":
-        """The one-row block of a built system."""
-        ls = system.spectrum
-        prev, same, nxt = np.array(system.recurrence).T[:, None, :]
-        return cls(
-            vertices=np.array([ls.vertex]),
-            support=ls.values[None],
-            weights=ls.support_weights[None],
-            sizes=np.array([len(ls.values)]),
-            vals=system.support_values[None],
-            prev=prev,
-            same=same,
-            nxt=nxt,
-            errors=[None],
-        )
-
     def level_triples(self) -> np.ndarray:
-        """(B, k, 3) array whose row b is :meth:`PredistanceSystem.level_triples` of row b, zero-padded."""
+        """Recurrence coefficients regrouped per level as a zero-padded (B, k, 3) array.
+
+        Level i of row b collects the coefficient of p_i in x * p_{i-1}
+        (down), in x * p_i (stay), and in x * p_{i+1} (up). At a vertex where
+        the graph is pseudo-distance-regular these are the local intersection
+        numbers.
+        """
         out = np.zeros((*self.same.shape, 3))
         out[:, 1:, 0], out[:, :, 1], out[:, :-1, 2] = self.nxt[:, :-1], self.same, self.prev[:, 1:]
         return out
@@ -310,18 +245,3 @@ def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> Pred
         values_at_radius=tuple(vals[:, 0].tolist()),
     )
 
-
-def apply_poly_column(g: Graph, p: Polynomial, u: int) -> np.ndarray:
-    """The u-th column of p(adjacency), via Horner on matrix-vector products.
-
-    Never forms p(adjacency) densely.
-    """
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
-    A = g.adjacency_matrix()
-    col = np.zeros(g.n)
-    col[u] = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        col = A @ col
-        col[u] += c
-    return col

@@ -16,8 +16,6 @@ import numpy as np
 
 from .graph_core import Graph, distances_from
 
-DEFAULT_WALK_CAP = 12
-
 # _decompose_stack assembles idempotents in blocks of at most this many
 # float64 entries, so that its temporaries stay small beside the result.
 _STACK_BLOCK_ENTRIES = 2**11
@@ -326,37 +324,6 @@ def local_spectrum(dec: SpectralDecomposition, u: int, tol: ToleranceConfig = DE
     return _local_spectrum(dec, u, mults)
 
 
-def crossed_multiplicity(dec: SpectralDecomposition, u: int, v: int, i: int) -> float:
-    """The (u, v) entry of idempotent i; symmetric in u and v."""
-    if not (0 <= u < dec.n and 0 <= v < dec.n):
-        raise ValueError("vertex out of range")
-    if not 0 <= i <= dec.d:
-        raise ValueError(f"eigenvalue index {i} out of range")
-    return float(dec.idempotents[i, u, v])
-
-
-def walk_count(
-    dec: SpectralDecomposition,
-    u: int,
-    v: int,
-    length: int,
-    cap: int = DEFAULT_WALK_CAP,
-) -> float:
-    """Number of u-v walks of the given length, from the spectral side.
-
-    Computes sum_i (E_i)_{uv} lambda_i^length. Lengths beyond ``cap``
-    (default 12) are refused to bound floating error growth; use the exact
-    integer oracle for anything longer.
-    """
-    if length < 0:
-        raise ValueError("walk length must be non-negative")
-    if length > cap:
-        raise ValueError(f"walk length {length} exceeds the cap {cap}")
-    if not (0 <= u < dec.n and 0 <= v < dec.n):
-        raise ValueError("vertex out of range")
-    return float(np.dot(dec.idempotents[:, u, v], dec.eigenvalues**length))
-
-
 def adjacency_powers(g: Graph, max_power: int) -> list[np.ndarray]:
     """Exact integer matrices A^0..A^max_power in 64-bit arithmetic.
 
@@ -382,7 +349,3 @@ def _power_stack(adjacency: np.ndarray, max_power: int) -> list[np.ndarray]:
         powers.append(prev @ A)
     return powers
 
-
-def integer_walk_count(g: Graph, u: int, v: int, length: int) -> int:
-    """Exact number of u-v walks of the given length, by integer matrix powering."""
-    return int(adjacency_powers(g, length)[length][u, v])

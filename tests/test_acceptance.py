@@ -27,13 +27,11 @@ from pdrkit import (
     ToleranceConfig,
     classify,
     decompose,
-    distance_matrices,
     enumerate_connected,
     generate_named,
     is_pdr_around,
     local_spectrum,
     build_predistance,
-    apply_poly_column,
     parse_graph6,
     serialize_graph6,
     verify_graph,
@@ -161,14 +159,13 @@ def test_criterion_5_named_regressions():
             problems.append(f"{name}: array {(arr.b, arr.c)} != {(b, c)}")
         # Distance polynomials reproduce the distance matrices columnwise.
         dec = decompose(g, TOL)
-        mats = distance_matrices(g)
-        system = build_predistance(local_spectrum(dec, 0, TOL), dec.spectral_radius, float(dec.perron[0]))
-        for i, p in enumerate(system.polys):
-            worst = max(
-                float(np.max(np.abs(apply_poly_column(g, p, v) - mats[i][:, v]))) for v in range(g.n)
-            )
-            if worst > 1e-7:
-                problems.append(f"{name}: distance polynomial {i} residual {worst:.2e}")
+        worst = np.zeros(len(b) + 1)
+        for v in range(g.n):
+            system = build_predistance(local_spectrum(dec, v, TOL), dec.spectral_radius, float(dec.perron[v]))
+            for i, col in enumerate(system.columns(g)):
+                worst[i] = max(worst[i], float(np.max(np.abs(col - (g.distances[:, v] == i)))))
+        for i in np.flatnonzero(worst > 1e-7):
+            problems.append(f"{name}: distance polynomial {i} residual {worst[i]:.2e}")
 
     for name, g, sizes in [
         ("complete_bipartite:2,3", generate_named("complete_bipartite", 2, 3), (3, 2)),

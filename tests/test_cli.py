@@ -24,6 +24,27 @@ ENUMERATE_5_SHA256 = "b30efa653b463f07505e917f5070424051dddf03fa00a02b9982ba45ac
 # move a last digit.
 ANALYZE_5_SHA256 = "de4ccc844c9d0f3b60bd591600f57aa3f7a041a4b464a0ca43a0dfc2df2d9daf"
 
+# sha256 of the stdout of `pdrkit spectrum --named S --vertex v`, concatenated
+# over S in SPECTRUM_GRAPHS and v in (0, 1), in that order. It pins the local
+# spectrum, the recurrence and the monomial expansion of the polynomials,
+# up to local degree 39 (path:40, vertex 0).
+SPECTRUM_GRAPHS = ("petersen", "cycle:13", "path:5", "complete_bipartite:2,3", "hypercube:3", "path:40")
+SPECTRUM_VERTEX_SHA256 = "41cbc83b66aa682eba5f5e11342a35940e937b02ca4d05992225ac016fdbb232"
+
+# The public API, in pdrkit.__all__ order: adding or removing a name is a
+# deliberate edit of this list.
+PUBLIC_API = [
+    "Bipartition", "Classification", "ConnectivityError", "DEFAULT_TOL", "GRAPH6_MAX_N", "Graph", "Graph6Error",
+    "GraphCheckResult", "GroupingAmbiguityError", "IllConditionedMeasureError", "InternalCheckError",
+    "IntersectionArray", "LocalSpectrum", "NAMED_FAMILIES", "NumericalError", "PartitionWitness", "PdrVertexReport",
+    "PredistanceSystem", "QuotientMatrix", "SpectralDecomposition", "ToleranceConfig", "UnsupportedSizeError",
+    "VERDICT_DISTANCE_BIREGULAR", "VERDICT_DISTANCE_REGULAR", "VERDICT_NOT_PDR", "Violation", "WALK_BIREGULAR",
+    "WALK_NEITHER", "WALK_REGULAR", "adjacency_powers", "bipartition", "build_predistance", "classify",
+    "combinatorial_intersection_array", "decompose", "distances_from", "enumerate_connected", "generate_named",
+    "is_pdr_around", "local_spectrum", "parse_graph6", "pseudo_regular_check", "serialize_graph6", "verify_graph",
+    "verify_graphs", "walk_formula_check", "walk_regularity",
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -109,6 +130,16 @@ def test_spectrum_path3_center_clamped_zero(capsys):
     mults = doc["local_spectrum"]["local_mults"]
     assert mults[1] == 0  # exactly zero after clamp
     assert doc["local_spectrum"]["local_degree"] == 1
+
+
+def test_spectrum_vertex_golden(capsys):
+    digest = hashlib.sha256()
+    for spec in SPECTRUM_GRAPHS:
+        for vertex in ("0", "1"):
+            code, out, err = run_cli(capsys, "spectrum", "--named", spec, "--vertex", vertex)
+            assert code == 0, err
+            digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == SPECTRUM_VERTEX_SHA256
 
 
 def test_spectrum_k3_global_only(capsys):
@@ -394,6 +425,40 @@ def test_env_tolerance_fallback(capsys, monkeypatch):
     assert doc["tolerances"]["eps_pdr"] == 3e-7
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("name", ["eps_group", "eps_mult", "eps_pdr", "eps_walk"])
+@pytest.mark.parametrize("value", ["0", "-1", "-0.0", "nan", "inf", "-inf"])
+def test_bad_tolerance_is_an_input_error(capsys, monkeypatch, source, name, value):
+    # Only a finite tolerance > 0 is accepted, from a flag or the environment;
+    # anything else exits 2 before any output, naming where it came from.
+    flag, var = "--" + name.replace("_", "-"), "PDRKIT_" + name.upper()
+    argv = ["analyze", "Bw"]
+    if source == "flag":
+        argv.append(f"{flag}={value}")
+    else:
+        monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {flag if source == 'flag' else var} must be a finite number > 0")
+
+
+def test_bad_tolerance_stops_every_subcommand(capsys, monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\n")
+    for argv in (
+        ["verify", str(corpus), "--eps-walk", "nan"],
+        ["verify", "--enumerate", "3", "--eps-pdr", "-1"],
+        ["analyze", "--named", "petersen", "--eps-pdr", "0"],
+        ["spectrum", "--named", "petersen", "--vertex", "0", "--eps-mult", "nan"],
+    ):
+        assert run_cli(capsys, *argv)[:2] == (2, ""), argv
+    # A value that is not a number reaches only the environment: argparse refuses it as a flag.
+    monkeypatch.setenv("PDRKIT_EPS_GROUP", "tiny")
+    code, out, err = run_cli(capsys, "verify", str(corpus))
+    assert (code, out) == (2, "")
+    assert err == "input error: PDRKIT_EPS_GROUP must be a finite number > 0, got tiny\n"
+
+
 # --- module entry point -----------------------------------------------------------
 
 
@@ -419,7 +484,7 @@ def test_main_calls_in_one_process_match_separate_processes(capsys):
         ["analyze", "--named", "petersen", "--eps-pdr", "3e-7"],
         ["spectrum", "--named", "path:3", "--vertex", "1", "--eps-mult", "1e-6"],
         ["analyze", "--named", "petersen"],
-        ["verify", "--enumerate", "4", "--per-graph", "--eps-walk=-1"],
+        ["verify", "--enumerate", "4", "--per-graph", "--eps-walk=1e-30"],
         ["verify", "--enumerate", "4", "--per-graph"],
         ["analyze", "Bw", "--named", "petersen"],
         ["spectrum", "--named", "path:3"],
@@ -466,4 +531,4 @@ def test_render_rejects_non_finite():
 
 def test_package_exports_no_modules():
     assert not [name for name in pdrkit.__all__ if isinstance(getattr(pdrkit, name), types.ModuleType)]
-    assert {"verify_graph", "walk_count", "distance_matrices"} <= set(pdrkit.__all__)
+    assert pdrkit.__all__ == PUBLIC_API

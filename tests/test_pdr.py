@@ -27,7 +27,6 @@ from pdrkit import (
     decompose,
     distances_from,
     enumerate_connected,
-    perron_transform_consistency,
     generate_named,
     is_pdr_around,
     local_spectrum,
@@ -35,8 +34,8 @@ from pdrkit import (
     verify_graph,
     walk_formula_check,
     walk_regularity,
-    weighted_distance_column,
 )
+from pdrkit.pdr import _intersection_arrays, _transform_residuals
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -46,30 +45,39 @@ def prepared(g):
 
 
 # --- weighted distance columns ----------------------------------------------
+# At a vertex u where the graph is pseudo-distance-regular, the column
+# p_i(A)e_u equals the Perron-weighted distance column: entry v is
+# perron[u] * perron[v] when dist(u, v) == i, else 0.
+
+
+def polynomial_columns(g, dec, u):
+    system = build_predistance(local_spectrum(dec, u), dec.spectral_radius, float(dec.perron[u]))
+    return list(system.columns(g))
 
 
 def test_weighted_column_k3():
     g, dec = prepared(generate_named("complete", 3))
-    assert np.allclose(weighted_distance_column(g, dec, 0, 1), [0.0, 1.0, 1.0], atol=1e-12)
+    assert np.allclose(polynomial_columns(g, dec, 0)[1], [0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_weighted_column_path3_center():
     g, dec = prepared(generate_named("path", 3))
-    col = weighted_distance_column(g, dec, 1, 1)
+    col = polynomial_columns(g, dec, 1)[1]
     want = 3 / (2 * np.sqrt(2))
-    assert col[1] == 0.0
+    assert abs(col[1]) < 1e-12
     assert np.allclose(col[[0, 2]], [want, want], atol=1e-12)
+    assert np.allclose(col, np.where(g.distances[1] == 1, dec.perron * dec.perron[1], 0.0), atol=1e-12)
     assert want == pytest.approx(1.0606601717, abs=1e-9)
 
 
 def test_weighted_column_level_zero_and_range():
     g, dec = prepared(generate_named("cycle", 5))
-    col = weighted_distance_column(g, dec, 2, 0)
+    cols = polynomial_columns(g, dec, 2)
     want = np.zeros(5)
     want[2] = float(dec.perron[2]) ** 2
-    assert np.allclose(col, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        weighted_distance_column(g, dec, 2, 3)
+    assert np.allclose(cols[0], want, atol=1e-12)
+    # One column per level 0..eccentricity, and none past it.
+    assert len(cols) == int(g.distances[2].max()) + 1 == 3
 
 
 # --- pseudo-regular partitions ------------------------------------------------
@@ -210,17 +218,6 @@ def test_is_pdr_p4_inner_vertex():
     rep = is_pdr_around(g, dec, 1)
     assert not rep.is_pdr and not rep.via_partition and not rep.via_polynomials
     assert rep.witness is not None and rep.quotient is None
-
-
-def test_is_pdr_around_reuses_a_built_system():
-    for spec in [("petersen",), ("path", 4), ("complete_bipartite", 2, 3), ("cycle", 7)]:
-        g, dec = prepared(generate_named(*spec))
-        for u in range(g.n):
-            system = build_predistance(local_spectrum(dec, u), dec.spectral_radius, float(dec.perron[u]))
-            built, reused = is_pdr_around(g, dec, u), is_pdr_around(g, dec, u, system=system)
-            assert reused.spectrum is system.spectrum
-            fields = ("vertex", "is_pdr", "via_partition", "via_polynomials", "extremal", "eccentricity", "witness")
-            assert [getattr(built, f) for f in fields] == [getattr(reused, f) for f in fields]
 
 
 def test_characterizations_agree_n_up_to_5():
@@ -446,17 +443,31 @@ def test_intersection_array_matches_loop_reference():
 
 
 # --- transform consistency -------------------------------------------------------
+# classify compares each vertex's pseudo-intersection numbers with the
+# Perron-ratio transform of its integer counts, in one operation for every
+# vertex; these tests read the residuals of that comparison.
+
+
+def transform_residuals(g, dec, u):
+    """(down, stay, up) residuals per level 0..eccentricity at u."""
+    report = is_pdr_around(g, dec, u)
+    assert report.is_pdr
+    arrays, counts = _intersection_arrays(g, np.array([u]))
+    assert arrays[0] is not None
+    res = _transform_residuals(g, dec.perron, np.array([u]), [report.quotient.tridiagonal()], counts)
+    return res[0, : report.eccentricity + 1]
 
 
 def test_transform_petersen_zero_residuals():
     g, dec = prepared(generate_named("petersen"))
-    res = perron_transform_consistency(g, dec, 0)
+    res = transform_residuals(g, dec, 0)
+    assert res.shape == (3, 3)
     assert float(res.max()) < 1e-10
 
 
 def test_transform_c6():
     g, dec = prepared(generate_named("cycle", 6))
-    res = perron_transform_consistency(g, dec, 0)
+    res = transform_residuals(g, dec, 0)
     assert float(res.max()) < 1e-10
     arr = combinatorial_intersection_array(g, 0)
     assert (arr.b, arr.c) == ((2, 1, 1), (1, 1, 2))
@@ -464,14 +475,21 @@ def test_transform_c6():
 
 def test_transform_k23_degree3_side():
     g, dec = prepared(generate_named("complete_bipartite", 2, 3))
-    res = perron_transform_consistency(g, dec, 0)
+    res = transform_residuals(g, dec, 0)
     assert float(res.max()) < 1e-9
 
 
 def test_transform_rejects_irregular_vertex():
-    g, dec = prepared(generate_named("path", 4))
-    with pytest.raises(ValueError):
-        perron_transform_consistency(g, dec, 1)
+    # A vertex without an integer intersection array never reaches the
+    # transform: classify's integer oracle refuses the graph first, even when
+    # every report claims pseudo-distance-regularity. The triangular prism is
+    # regular but not distance-regular.
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    dec = decompose(g)
+    assert combinatorial_intersection_array(g, 0) is None
+    reports = [dataclasses.replace(is_pdr_around(g, dec, u), is_pdr=True) for u in range(g.n)]
+    with pytest.raises(InternalCheckError, match="integer distance-regularity oracle"):
+        classify(g, dec=dec, reports=reports)
 
 
 def test_transform_star_leaf():
@@ -479,15 +497,17 @@ def test_transform_star_leaf():
     # constant-Perron and integer-regular, so the transform must line up.
     g = generate_named("complete_bipartite", 1, 3)
     dec = decompose(g)
-    res = perron_transform_consistency(g, dec, 1)
+    res = transform_residuals(g, dec, 1)
     assert float(res.max()) < 1e-9
 
 
 def test_transform_rejects_nonconstant_cells():
-    # No graph this small pairs integer regularity with a mixed-Perron cell,
-    # so doctor the decomposition to drive the precondition check.
+    # The transform assumes the Perron vector constant on every distance
+    # cell; classify checks that on each part before it compares. No graph
+    # this small breaks it, so doctor the decomposition.
     g = generate_named("cycle", 4)
     dec = decompose(g)
+    reports = [is_pdr_around(g, dec, u) for u in range(g.n)]
     skew = dec.perron.copy()
     skew[1] *= 1.5
     doctored = type(dec)(
@@ -496,8 +516,8 @@ def test_transform_rejects_nonconstant_cells():
         idempotents=dec.idempotents,
         perron=skew,
     )
-    with pytest.raises(ValueError, match="distance cell 1 around vertex 0"):
-        perron_transform_consistency(g, doctored, 0)
+    with pytest.raises(InternalCheckError, match="Perron vector is not constant"):
+        classify(g, dec=doctored, reports=reports)
 
 
 # --- whole-graph suite -----------------------------------------------------------
@@ -561,16 +581,23 @@ def test_verify_graph_clean_at_high_local_degree(spec):
 
 
 @pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
-def test_checks_never_expand_monomials(monkeypatch, spec):
-    from pdrkit import predistance
+def test_checks_never_expand_monomials(monkeypatch, capsys, spec):
+    # The monomial expansion is a reporting aid of spectrum --vertex alone.
+    from pdrkit import cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("monomial coefficients expanded")
 
-    monkeypatch.setattr(predistance, "Polynomial", refuse)
+    monkeypatch.setattr(cli, "_monomial_coefficients", refuse)
     g = generate_named(*spec)
     assert verify_graph(g).violations == ()
     assert classify(g).verdict in (VERDICT_DISTANCE_REGULAR, VERDICT_DISTANCE_BIREGULAR)
+    named = ":".join([spec[0], ",".join(map(str, spec[1:]))]) if len(spec) > 1 else spec[0]
+    assert cli.main(["analyze", "--named", named]) == 0
+    assert cli.main(["spectrum", "--named", named]) == 0
+    with pytest.raises(AssertionError, match="monomial coefficients expanded"):
+        cli.main(["spectrum", "--named", named, "--vertex", "0"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
@@ -653,9 +680,15 @@ def test_batched_level_counts_match_one_row_at_every_vertex():
     catalog = [("petersen",), ("cycle", 40), ("path", 40), ("hypercube", 5), ("complete_bipartite", 10, 20)]
     graphs += [generate_named(*spec) for spec in catalog]
     for g in graphs:
-        batched = pdr._intersection_arrays(g, np.arange(g.n))
+        batched, levels = pdr._intersection_arrays(g, np.arange(g.n))
         assert batched == [combinatorial_intersection_array(g, u) for u in range(g.n)]
-        assert batched == [pdr._intersection_arrays(g, np.array([u]))[0] for u in range(g.n)]
+        assert batched == [pdr._intersection_arrays(g, np.array([u]))[0][0] for u in range(g.n)]
+        # The count array holds each array's (down, stay, up) levels, zero past the eccentricity.
+        for u, a in enumerate(batched):
+            if a is not None:
+                want = np.zeros((levels.shape[1], 3), dtype=np.int64)
+                want[: len(a.a)] = np.transpose([(0, *a.c), a.a, (*a.b, 0)])
+                assert np.array_equal(levels[u], want)
         if g.n <= 5:
             assert [None if a is None else (a.b, a.c, a.a) for a in batched] == [
                 loop_intersection_array(g, u) for u in range(g.n)

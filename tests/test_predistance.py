@@ -1,5 +1,5 @@
 """Orthogonal polynomial families per vertex: construction, normalization,
-recurrence, and column application."""
+recurrence, and the columns p_i(A)e_u."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,13 @@ import pytest
 from pdrkit import (
     IllConditionedMeasureError,
     LocalSpectrum,
-    Polynomial,
-    apply_poly_column,
     build_predistance,
     decompose,
-    distance_matrices,
     enumerate_connected,
     generate_named,
-    local_inner_product,
     local_spectrum,
 )
-
-ONE = Polynomial((1.0,))
-X = Polynomial((0.0, 1.0))
+from pdrkit.cli import _monomial_coefficients
 
 
 def system_for(g, u):
@@ -32,18 +26,30 @@ def system_for_decomposition(dec, u):
     return ls, build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
 
 
-# --- Polynomial -------------------------------------------------------------
+def inner_product(ls, f, g):
+    """The local scalar product sum_i m_u(lambda_i) f(lambda_i) g(lambda_i),
+    over the support, where every weight is positive."""
+    x = ls.values
+    return float(np.dot(ls.support_weights, f(x) * g(x)))
 
 
-def test_polynomial_basics():
-    p = Polynomial((-3, 0, 1))
-    assert p.degree == 2
-    assert p(3.0) == pytest.approx(6.0)
-    assert np.allclose(p(np.array([0.0, 1.0])), [-3.0, -2.0])
-    with pytest.raises(ValueError):
-        Polynomial(())
-    with pytest.raises(ValueError):
-        Polynomial((1.0, 0.0))
+def ONE(x):
+    return np.ones_like(x)
+
+
+def X(x):
+    return x
+
+
+def horner_column(g, coeffs, u):
+    """Column u of p(A), for monomial coefficients in ascending degree, by Horner."""
+    A = g.adjacency_matrix()
+    col = np.zeros(g.n)
+    col[u] = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        col = A @ col
+        col[u] += c
+    return col
 
 
 # --- inner product -----------------------------------------------------------
@@ -52,46 +58,51 @@ def test_polynomial_basics():
 def test_inner_product_constants():
     dec = decompose(generate_named("petersen"))
     ls = local_spectrum(dec, 0)
-    assert local_inner_product(ls, ONE, ONE) == pytest.approx(1.0)
+    assert inner_product(ls, ONE, ONE) == pytest.approx(1.0)
     # Orthogonality of 1 and x: no closed walks of length one.
-    assert local_inner_product(ls, ONE, X) == pytest.approx(0.0, abs=1e-12)
+    assert inner_product(ls, ONE, X) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inner_product_xx_is_degree():
     dec = decompose(generate_named("complete", 3))
     ls = local_spectrum(dec, 0)
     # (1/3) * 4 + (2/3) * 1 = 2 = deg(u).
-    assert local_inner_product(ls, X, X) == pytest.approx(2.0)
+    assert inner_product(ls, X, X) == pytest.approx(2.0)
 
 
 def test_inner_product_ignores_zero_multiplicities():
     dec = decompose(generate_named("path", 3))
     ls = local_spectrum(dec, 1)  # center: middle eigenvalue clamped to zero
     assert ls.local_mults[1] == 0.0
-    assert local_inner_product(ls, X, X) == pytest.approx(2.0)
+    assert list(ls.values) == [dec.eigenvalues[0], dec.eigenvalues[2]]
+    assert inner_product(ls, X, X) == pytest.approx(2.0)
 
 
 # --- construction ------------------------------------------------------------
 
 
 def test_k3_polynomials():
-    _, _, system = system_for(generate_named("complete", 3), 0)
-    assert np.allclose(system.polys[0].coeffs, [1.0], atol=1e-12)
-    assert np.allclose(system.polys[1].coeffs, [0.0, 1.0], atol=1e-12)
+    _, ls, system = system_for(generate_named("complete", 3), 0)
+    x = ls.values
+    assert np.allclose(system.support_values, [np.ones_like(x), x], atol=1e-12)
+    assert np.allclose(_monomial_coefficients(system)[1], [0.0, 1.0], atol=1e-12)
 
 
 def test_path3_center_polynomials():
     # Perron entry squared 3/2, radius sqrt(2), degree 2.
-    _, _, system = system_for(generate_named("path", 3), 1)
-    assert np.allclose(system.polys[0].coeffs, [1.5], atol=1e-12)
-    assert np.allclose(system.polys[1].coeffs, [0.0, 3 * np.sqrt(2) / 4], atol=1e-12)
-    assert system.polys[1].coeffs[1] == pytest.approx(1.0606601717, abs=1e-9)
+    _, ls, system = system_for(generate_named("path", 3), 1)
+    x = ls.values
+    assert np.allclose(system.support_values, [np.full_like(x, 1.5), 3 * np.sqrt(2) / 4 * x], atol=1e-12)
+    (p0,), (zero, lead) = _monomial_coefficients(system)
+    assert p0 == pytest.approx(1.5, abs=1e-12) and zero == pytest.approx(0.0, abs=1e-12)
+    assert lead == pytest.approx(1.0606601717, abs=1e-9)
 
 
 def test_petersen_distance_two_polynomial():
     # A^2 = 3I + A_2 on the Petersen graph, so p_2 = x^2 - 3.
-    _, _, system = system_for(generate_named("petersen"), 0)
-    assert np.allclose(system.polys[2].coeffs, [-3.0, 0.0, 1.0], atol=1e-10)
+    _, ls, system = system_for(generate_named("petersen"), 0)
+    assert np.allclose(system.support_values[2], ls.values**2 - 3, atol=1e-10)
+    assert np.allclose(_monomial_coefficients(system)[2], [-3.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_degrees_and_radius_values():
@@ -100,7 +111,9 @@ def test_degrees_and_radius_values():
         for u in range(g.n):
             ls = local_spectrum(dec, u)
             system = build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
-            assert [p.degree for p in system.polys] == list(range(ls.local_degree + 1))
+            assert system.support_values.shape == (ls.local_degree + 1, len(ls.values))
+            assert len(system.recurrence) == ls.local_degree + 1
+            assert [len(c) - 1 for c in _monomial_coefficients(system)] == list(range(ls.local_degree + 1))
             assert all(v > 0 for v in system.values_at_radius)
 
 
@@ -115,19 +128,20 @@ def test_contract_over_small_corpus():
                 a2 = float(dec.perron[u]) ** 2
                 system = build_predistance(ls, lam0, float(dec.perron[u]))
                 support, weights = ls.values, ls.support_weights
-                vals = np.stack([p(support) for p in system.polys])
+                vals = system.support_values
                 gram = (vals * weights) @ vals.T
                 norms2 = np.diag(gram)
                 off = np.abs(gram - np.diag(norms2))
                 assert np.max(off / np.sqrt(np.outer(norms2, norms2))) < 1e-8
                 # ||p_i||^2 = alpha_u^2 p_i(lambda0)
                 assert np.allclose(norms2, a2 * np.array(system.values_at_radius), rtol=1e-8)
-                # closed forms
-                assert system.polys[0].coeffs[0] == pytest.approx(a2, rel=1e-10)
+                # closed forms: p_0 is the constant a2, and p_1 the line
+                # through the origin of slope a2 * lambda0 / deg(u)
+                assert np.allclose(vals[0], a2, rtol=1e-10, atol=0)
                 if ls.local_degree >= 1:
-                    assert system.polys[1].coeffs[1] == pytest.approx(a2 * lam0 / g.degree(u), rel=1e-9)
+                    assert np.allclose(vals[1], a2 * lam0 / g.degree(u) * support, rtol=1e-9, atol=1e-12)
                 # recurrence residual in the local norm
-                for i, p in enumerate(system.polys):
+                for i in range(len(vals)):
                     xp = support * vals[i]
                     prev, same, nxt = system.recurrence[i]
                     combo = same * vals[i]
@@ -141,7 +155,7 @@ def test_contract_over_small_corpus():
 
 def test_distance_regular_catalog_reproduces_distance_matrices():
     # For these distance-regular graphs the polynomials applied to the
-    # adjacency give exactly the distance matrices.
+    # adjacency give exactly the distance matrices, column by column.
     catalog = [
         generate_named("petersen"),
         generate_named("cycle", 4),
@@ -151,18 +165,18 @@ def test_distance_regular_catalog_reproduces_distance_matrices():
     ]
     for g in catalog:
         dec = decompose(g)
-        mats = distance_matrices(g)
+        diameter = int(g.distances.max())
         for u in range(g.n):
             ls = local_spectrum(dec, u)
             system = build_predistance(ls, dec.spectral_radius, float(dec.perron[u]))
-            assert ls.local_degree == len(mats) - 1
+            assert ls.local_degree == diameter
             # The radius values sum to the vertex count: they count the
             # distance cells of a distance-regular graph.
             assert sum(system.values_at_radius) == pytest.approx(g.n, rel=1e-9)
-            for i, p in enumerate(system.polys):
-                for v in range(g.n):
-                    col = apply_poly_column(g, p, v)
-                    assert np.max(np.abs(col - mats[i][:, v])) < 1e-7
+            cols = list(system.columns(g))
+            assert len(cols) == diameter + 1
+            for i, col in enumerate(cols):
+                assert np.max(np.abs(col - (g.distances[:, u] == i))) < 1e-7
 
 
 def test_golub_welsch_oracle_small_corpus():
@@ -183,6 +197,8 @@ def test_golub_welsch_oracle_small_corpus():
 
 
 def test_recurrence_columns_match_horner_on_polys():
+    # The monomial expansion that spectrum --vertex reports, applied by
+    # Horner, gives the columns the recurrence runs.
     graphs = [
         generate_named("petersen"),
         generate_named("path", 5),
@@ -195,9 +211,10 @@ def test_recurrence_columns_match_horner_on_polys():
         for u in range(g.n):
             _, system = system_for_decomposition(dec, u)
             cols = list(system.columns(g))
-            assert len(cols) == len(system.polys)
-            for col, p in zip(cols, system.polys):
-                assert np.allclose(col, apply_poly_column(g, p, u), atol=1e-10)
+            polys = _monomial_coefficients(system)
+            assert len(cols) == len(polys)
+            for col, coeffs in zip(cols, polys):
+                assert np.allclose(col, horner_column(g, coeffs, u), atol=1e-10)
 
 
 def test_ill_conditioned_support_raises():
@@ -224,43 +241,51 @@ def test_build_rejects_bad_support():
         build_predistance(ls, 2.0, 1.0)
 
 
-# --- column application -------------------------------------------------------
+# --- columns p_i(A)e_u ---------------------------------------------------------
 
 
 def test_apply_constant_polynomial():
+    # p_0 is the squared Perron entry, so p_0(A)e_u is that entry times e_u.
     g = generate_named("path", 4)
     dec = decompose(g)
     for u in range(4):
-        a2 = float(dec.perron[u]) ** 2
-        col = apply_poly_column(g, Polynomial((a2,)), u)
+        _, system = system_for_decomposition(dec, u)
         want = np.zeros(4)
-        want[u] = a2
-        assert np.allclose(col, want, atol=1e-12)
+        want[u] = float(dec.perron[u]) ** 2
+        assert np.allclose(next(system.columns(g)), want, atol=1e-12)
 
 
 def test_apply_x_on_k3():
+    # p_1 = x on the triangle, so p_1(A)e_0 is column 0 of A.
     g = generate_named("complete", 3)
-    col = apply_poly_column(g, X, 0)
+    _, _, system = system_for(g, 0)
+    _, col = system.columns(g)
     assert np.allclose(col, [0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_apply_x2_minus_2_on_c4():
-    # Integer oracle: A^2 - 2I on the 4-cycle is twice the antipodal matrix.
+    # Integer oracle: A^2 - 2I on the 4-cycle is twice the antipodal matrix,
+    # which p_2 = (x^2 - 2) / 2 reproduces.
     g = generate_named("cycle", 4)
     A = g.adjacency_matrix()
-    want = A @ A - 2 * np.eye(4)
-    p = Polynomial((-2.0, 0.0, 1.0))
+    want = (A @ A - 2 * np.eye(4)) / 2
+    dec = decompose(g)
     for u in range(4):
-        col = apply_poly_column(g, p, u)
+        _, system = system_for_decomposition(dec, u)
+        assert np.allclose(_monomial_coefficients(system)[2], [-1.0, 0.0, 0.5], atol=1e-12)
+        *_, col = system.columns(g)
         assert np.allclose(col, want[:, u], atol=1e-12)
-    assert np.allclose(apply_poly_column(g, p, 0), [0.0, 0.0, 2.0, 0.0], atol=1e-12)
+    assert np.allclose(want[:, 0], [0.0, 0.0, 1.0, 0.0])
 
 
 def test_apply_never_densifies():
-    # Agreement with dense evaluation on a bigger graph.
+    # The columns, one matvec per degree, agree with dense evaluation of the
+    # expanded polynomials on a bigger graph.
     g = generate_named("hypercube", 4)
     A = g.adjacency_matrix()
-    p = Polynomial((1.0, -2.0, 0.0, 0.5))
-    dense = 0.5 * np.linalg.matrix_power(A, 3) - 2 * A + np.eye(g.n)
+    dec = decompose(g)
     for u in [0, 7, 15]:
-        assert np.allclose(apply_poly_column(g, p, u), dense[:, u], atol=1e-9)
+        _, system = system_for_decomposition(dec, u)
+        for col, coeffs in zip(system.columns(g), _monomial_coefficients(system)):
+            dense = sum(c * np.linalg.matrix_power(A, k) for k, c in enumerate(coeffs))
+            assert np.allclose(col, dense[:, u], atol=1e-9)

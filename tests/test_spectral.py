@@ -8,13 +8,10 @@ from pdrkit import (
     NumericalError,
     ToleranceConfig,
     adjacency_powers,
-    crossed_multiplicity,
     decompose,
     enumerate_connected,
     generate_named,
-    integer_walk_count,
     local_spectrum,
-    walk_count,
 )
 from pdrkit.graph_core import ConnectivityError, Graph
 from pdrkit.spectral import _group_stack
@@ -172,39 +169,42 @@ def test_local_mults_sum_to_global_multiplicity():
 
 
 # --- crossed multiplicities -------------------------------------------------
+# The crossed multiplicity m_uv(lambda_i) is entry (u, v) of idempotent i.
 
 
 def test_crossed_multiplicity_top_idempotent():
     for g in [generate_named("path", 4), generate_named("petersen")]:
         dec = decompose(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                want = dec.perron[u] * dec.perron[v] / g.n
-                assert abs(crossed_multiplicity(dec, u, v, 0) - want) < 1e-10
+        want = np.outer(dec.perron, dec.perron) / g.n
+        assert np.max(np.abs(dec.idempotents[0] - want)) < 1e-10
 
 
 def test_crossed_multiplicity_k3():
     dec = decompose(generate_named("complete", 3))
-    assert abs(crossed_multiplicity(dec, 0, 1, 1) - (-1 / 3)) < 1e-12
-    assert abs(crossed_multiplicity(dec, 0, 1, 1) - crossed_multiplicity(dec, 1, 0, 1)) < 1e-15
+    assert abs(dec.idempotents[1, 0, 1] - (-1 / 3)) < 1e-12
+    assert np.array_equal(dec.idempotents, dec.idempotents.transpose(0, 2, 1))
 
 
 def test_crossed_multiplicity_diagonal_is_local():
     dec = decompose(generate_named("path", 4))
     for u in range(4):
         ls = local_spectrum(dec, u)
-        for i in range(dec.d + 1):
-            assert abs(crossed_multiplicity(dec, u, u, i) - ls.local_mults[i]) < 1e-12
+        assert np.max(np.abs(np.diagonal(dec.idempotents, axis1=1, axis2=2)[:, u] - ls.local_mults)) < 1e-12
 
 
 # --- walk counts ------------------------------------------------------------
 
 
+def spectral_walks(dec, length):
+    """Walk counts of the given length from the spectral side: sum_i E_i lambda_i^length."""
+    return np.einsum("kuv,k->uv", dec.idempotents, dec.eigenvalues**length)
+
+
 def test_walk_count_k3():
     dec = decompose(generate_named("complete", 3))
-    assert abs(walk_count(dec, 0, 0, 2) - 2.0) < 1e-10  # degree
-    assert abs(walk_count(dec, 0, 1, 3) - 3.0) < 1e-10  # (J - I)^3 off-diagonal
-    assert abs(walk_count(dec, 0, 0, 0) - 1.0) < 1e-12
+    assert abs(spectral_walks(dec, 2)[0, 0] - 2.0) < 1e-10  # degree
+    assert abs(spectral_walks(dec, 3)[0, 1] - 3.0) < 1e-10  # (J - I)^3 off-diagonal
+    assert abs(spectral_walks(dec, 0)[0, 0] - 1.0) < 1e-12
 
 
 def test_walk_count_matches_integer_oracle():
@@ -214,16 +214,7 @@ def test_walk_count_matches_integer_oracle():
         lam0 = dec.spectral_radius
         for length in range(7):
             bound = 1e-6 * max(1.0, lam0**length)
-            for u in range(g.n):
-                for v in range(g.n):
-                    assert abs(walk_count(dec, u, v, length) - powers[length][u, v]) < bound
-
-
-def test_walk_count_cap():
-    dec = decompose(generate_named("complete", 3))
-    with pytest.raises(ValueError):
-        walk_count(dec, 0, 0, 13)
-    assert walk_count(dec, 0, 0, 13, cap=13) == pytest.approx(integer_walk_count(generate_named("complete", 3), 0, 0, 13))
+            assert np.max(np.abs(spectral_walks(dec, length) - powers[length])) < bound
 
 
 def test_integer_powers_overflow_guard():
