@@ -19,16 +19,16 @@ are cancelled.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,14 +75,37 @@ _EXPOSED_TOLERANCES = {
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x}")
     if x == 0.0:
         return "0"
-    return format(float(x), ".12g")
+    return format(x, ".12g")
 
 
 def _render_json(obj) -> str:
+    # Exact types first, in the order reports hold them most; numpy scalars,
+    # subclasses and every error take the general path after them.
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is int:
+        return str(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # what json.dumps gives a str
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            # One join for an all-float list. Adding 0.0 turns -0.0 into 0.0
+            # and keeps every other float; only inf and nan render with an
+            # "n", and they are left to the general path, which refuses them.
+            text = ",".join(map(format, map((0.0).__add__, obj), repeat(".12g")))
+            if "n" not in text:
+                return "[" + text + "]"
+        elif kinds == {int}:
+            return "[" + ",".join(map(str, obj)) + "]"
+        return "[" + ",".join(map(_render_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join([_render_key(k) + ":" + _render_json(v) for k, v in obj.items()]) + "}"
     if obj is None:
         return "null"
     if obj is True:
@@ -93,24 +116,18 @@ def _render_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_render_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        parts = []
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise TypeError(f"JSON keys must be strings, got {k!r}")
-            parts.append(_render_json(k) + ":" + _render_json(v))
-        return "{" + ",".join(parts) + "}"
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def _round_if_close(x: float, eps: float = 1e-6):
-    """Integers when within eps of one; raw reals otherwise."""
-    r = round(x)
-    return int(r) if abs(x - r) <= eps else float(x)
+def _render_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON keys must be strings, got {key!r}")
+    return encode_basestring_ascii(key)
+
+
+def _round_if_close(xs: Sequence[float], eps: float = 1e-6) -> list:
+    """Each of xs as an integer when within eps of one, as a raw real otherwise."""
+    return [r if abs(x - r) <= eps else x for x, r in zip(xs, map(round, xs))]
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +201,8 @@ def _witness_block(w) -> dict:
 
 
 def _triples_block(quotient) -> dict:
-    triples = quotient.tridiagonal()
-    return {
-        "c": [_round_if_close(t[0]) for t in triples],
-        "a": [_round_if_close(t[1]) for t in triples],
-        "b": [_round_if_close(t[2]) for t in triples],
-    }
+    c, a, b = zip(*quotient.tridiagonal())
+    return {"c": _round_if_close(c), "a": _round_if_close(a), "b": _round_if_close(b)}
 
 
 def _classification_block(cls) -> dict:
@@ -227,7 +240,7 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
             "vertex": r.vertex,
             "local_degree": r.local_degree,
             "eccentricity": r.eccentricity,
-            "local_mults": [float(m) for m in r.spectrum.local_mults],
+            "local_mults": r.spectrum.local_mults.tolist(),
             "is_pdr": r.is_pdr,
         }
         if r.is_pdr:
@@ -240,7 +253,7 @@ def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
         "n": g.n,
         "edge_count": g.edge_count,
         "spectrum": _spectrum_block(dec),
-        "perron": [float(a) for a in dec.perron],
+        "perron": dec.perron.tolist(),
         "per_vertex": per_vertex,
         "classification": _classification_block(cls),
         "tolerances": _tolerance_block(tol),
@@ -363,6 +376,8 @@ def _in_windows(pool, items: Iterator, window: int) -> Iterator:
 
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.enumerate is not None:
         if not 1 <= args.enumerate <= 7:
             print("--enumerate supports 1 <= n <= 7", file=sys.stderr)

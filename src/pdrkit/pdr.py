@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -216,7 +217,8 @@ class _PartitionRows:
     ``passed[p]`` has quotient entry (i, j) in ``means[p, i, j]``, for i, j
     below its ``cells``; failing row ``failing[f]`` has its witness in entry
     f of ``witness`` (cell, target, vertex_a, vertex_b) and ``values``
-    (value_a, value_b). Objects are made only on request.
+    (value_a, value_b). Objects are made only on request; ``means`` is
+    read-only, so that the quotients they hold can be views of it.
     """
 
     passing: np.ndarray
@@ -227,22 +229,27 @@ class _PartitionRows:
     witness: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        self.means.setflags(write=False)
+
     @cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_band_levels` of every passing row, read in one operation on first use."""
         return _band_levels(self.means)
 
-    def quotient(self, r: int) -> QuotientMatrix:
-        k = int(self.cells[r])
-        p = int(np.searchsorted(self.passed, r))
-        entries = self.means[p, :k, :k].copy()
-        entries.setflags(write=False)
+    def quotients(self, rows: np.ndarray) -> list[QuotientMatrix]:
+        """The quotients of the given passing rows, each array read once for all of them."""
+        p = np.searchsorted(self.passed, rows)
         levels, banded = self.levels
-        return QuotientMatrix(entries=entries, levels=tuple(map(tuple, levels[p, :k].tolist())) if banded[p] else None)
+        return [
+            QuotientMatrix(entries=self.means[i, :k, :k], levels=tuple(map(tuple, triples[:k])) if ok else None)
+            for i, k, ok, triples in zip(p.tolist(), self.cells[rows].tolist(), banded[p].tolist(), levels[p].tolist())
+        ]
 
-    def partition_witness(self, r: int) -> PartitionWitness:
-        f = int(np.searchsorted(self.failing, r))
-        return PartitionWitness(*self.witness[f].tolist(), *self.values[f].tolist())
+    def witnesses(self, rows: np.ndarray) -> list[PartitionWitness]:
+        """The witnesses of the given failing rows, each array read once for all of them."""
+        f = np.searchsorted(self.failing, rows)
+        return [PartitionWitness(*w, *v) for w, v in zip(self.witness[f].tolist(), self.values[f].tolist())]
 
 
 def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
@@ -251,23 +258,31 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
     The rows come in G runs of V = R / G, one run per graph: row r is a
     partition of the graph with boolean adjacency ``adjacency[r // V]`` and
     Perron vector ``alpha[r // V]``, checked at threshold ``eps[r]``. The
-    rows are checked a chunk of :func:`_row_chunks` at a time.
+    rows are checked a chunk of :func:`_row_chunks` at a time; a row's
+    largest temporaries, its flows and cell indicators, hold n * m entries
+    for m cells.
     """
     R, n = labels.shape
     V = R // len(adjacency)
+    m = int(labels.max()) + 1
     parts = []
-    for rows in _row_chunks(R, V, n):
+    for rows in _row_chunks(R, V, n * m):
         runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
         parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows]))
     if len(parts) == 1:
         return parts[0]
-    m = max(p.means.shape[1] for p in parts)
     passing = np.concatenate([p.passing for p in parts])
+    means = np.zeros((np.count_nonzero(passing), m, m))
+    lo = 0
+    for p in parts:
+        P, k, _ = p.means.shape
+        means[lo : lo + P, :k, :k] = p.means
+        lo += P
     return _PartitionRows(
         passing=passing,
         cells=labels.max(axis=1) + 1,
         passed=np.flatnonzero(passing),
-        means=np.concatenate([np.pad(p.means, [(0, 0)] + [(0, m - p.means.shape[1])] * 2) for p in parts]),
+        means=means,
         failing=np.flatnonzero(~passing),
         witness=np.concatenate([p.witness for p in parts]),
         values=np.concatenate([p.values for p in parts]),
@@ -352,9 +367,10 @@ def pseudo_regular_check(
         raise ValueError("malformed partition: empty cell")
     eps = np.array([tol.scaled("eps_pdr", dec.spectral_radius)])
     part = _partition_rows(g.adjacency[None], dec.perron[None], labels[None, :], eps)
+    row = np.zeros(1, dtype=np.int64)
     if part.passing[0]:
-        return part.quotient(0), None
-    return None, part.partition_witness(0)
+        return part.quotients(row)[0], None
+    return None, part.witnesses(row)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,9 +417,9 @@ class _VertexRows:
     flagged: np.ndarray
 
     def reports(
-        self, rows: range, dec: SpectralDecomposition, violations: list[Violation] | None
+        self, rows: slice, dec: SpectralDecomposition, violations: list[Violation] | None
     ) -> list[PdrVertexReport | None]:
-        """The reports of the given rows, all of one graph with decomposition ``dec``.
+        """The reports of a slice of rows, all of one graph with decomposition ``dec``.
 
         Without ``violations`` this is :func:`is_pdr_around` at each row in
         turn: the first row in order with a numerical error or a
@@ -411,20 +427,28 @@ class _VertexRows:
         are appended, a disagreement gives a None report, and a numerical
         error at a row is raised after the violations of the rows before it.
         """
+        at = np.arange(*rows.indices(len(self.vertices)))
+        passing = self.partition.passing[rows]
+        quotients = iter(self.partition.quotients(at[passing]))
+        witnesses = iter(self.partition.witnesses(at[~passing]))
+        # Each array's Python values are read once for all the rows.
+        columns = (at, passing, self.vertices[rows], self.via_polynomials[rows], self.extremal[rows], self.ecc[rows])
+        fields = zip(*(c.tolist() for c in columns))
         reports: list[PdrVertexReport | None] = []
-        k = len(dec.eigenvalues)
-        for r in rows:
-            u = int(self.vertices[r])
+        for (r, via_partition, u, via_polynomials, extremal, ecc), mults in zip(
+            fields, self.mults[rows, : len(dec.eigenvalues)]
+        ):
             if self.local_errors[r] is not None:
                 raise self.local_errors[r]
             # Outside verify_graph a family's error counts only at an extremal
             # vertex, the only kind at which is_pdr_around needs the family.
-            if self.family_errors[r] is not None and (violations is not None or self.extremal[r]):
+            if self.family_errors[r] is not None and (violations is not None or extremal):
                 raise self.family_errors[r]
-            via_partition = bool(self.partition.passing[r])
             if violations is not None:
                 violations += self.violations.get(r, [])
-            if via_partition != self.via_polynomials[r]:
+            quotient = next(quotients) if via_partition else None
+            witness = None if via_partition else next(witnesses)
+            if via_partition != via_polynomials:
                 if violations is None:
                     raise InternalCheckError(_disagreement(u, via_partition))
                 reports.append(None)
@@ -435,11 +459,11 @@ class _VertexRows:
                     is_pdr=via_partition,
                     via_partition=via_partition,
                     via_polynomials=via_partition,
-                    extremal=bool(self.extremal[r]),
-                    eccentricity=int(self.ecc[r]),
-                    spectrum=_local_spectrum(dec, u, self.mults[r, :k]),
-                    quotient=self.partition.quotient(r) if via_partition else None,
-                    witness=None if via_partition else self.partition.partition_witness(r),
+                    extremal=extremal,
+                    eccentricity=ecc,
+                    spectrum=_local_spectrum(dec, u, mults),
+                    quotient=quotient,
+                    witness=witness,
                 )
             )
         return reports
@@ -467,7 +491,7 @@ def is_pdr_around(
     distances_from(g, u)  # validates u and connectivity
     one = np.zeros(1, dtype=np.int64)
     rows = _vertex_block(_GraphStack.of(g, dec), one, np.array([u]), tol)
-    (report,) = rows.reports(range(1), dec, None)
+    (report,) = rows.reports(slice(None), dec, None)
     return report
 
 
@@ -496,7 +520,7 @@ def _vertex_pass(
     """
     one = np.zeros(1, dtype=np.int64)
     rows = _vertex_block(_GraphStack.of(g, dec), one, np.arange(g.n), tol, violations is not None)
-    return rows.reports(range(g.n), dec, violations)
+    return rows.reports(slice(None), dec, violations)
 
 
 def _vertex_block(
@@ -654,14 +678,14 @@ def _contract_violations(
     of every row of a predistance block, whose rows have spectral radius
     ``lam0``, squared Perron entry ``alpha2`` and degree ``degree``; row r's
     violations in that order, for the rows that have any. The (rows, k, k)
-    products run in the row chunks of :func:`_row_chunks`, as for a graph of
-    order k."""
+    products run in the row chunks of :func:`_row_chunks`, k * k entries a
+    row."""
     vals, weights, support = block.vals, block.weights, block.support
     R, k, _ = vals.shape
     worst_orth = np.empty(R)
     norms2, res, ref = np.empty((3, R, k))
     diagonal = np.arange(k)
-    for rows in _row_chunks(R, 1, k):
+    for rows in _row_chunks(R, 1, k * k):
         v, w = vals[rows], weights[rows]
         # Chunk-sized temporaries are reused in place to bound the peak memory.
         gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
@@ -775,9 +799,10 @@ def _level_counts(g: Graph, vertices: np.ndarray) -> np.ndarray:
     """
     out = []
     adjacency = g.adjacency_matrix()
-    for rows in _row_chunks(len(vertices), len(vertices), g.n):
+    levels = np.arange(-1, int(g.distances[vertices].max()) + 2)  # -1 .. eccentricity + 1
+    for rows in _row_chunks(len(vertices), len(vertices), g.n * len(levels)):
         dist = g.distances[vertices[rows]]
-        onehot = (dist[:, :, None] == np.arange(-1, int(dist.max()) + 2)).astype(float)  # levels -1 .. ecc + 1
+        onehot = (dist[:, :, None] == levels).astype(float)
         into = adjacency @ onehot  # (rows, v, level + 1): neighbors of v on each level
         out.append(np.take_along_axis(into, dist[:, :, None] + np.arange(3), axis=2))
     return np.concatenate(out).astype(np.int64)
@@ -798,11 +823,11 @@ def _intersection_arrays(g: Graph, vertices: np.ndarray) -> tuple[list[Intersect
     levels[np.arange(levels.shape[1]) > ecc[:, None]] = 0
     regular = (np.take_along_axis(levels, dist[:, :, None], axis=1) == counts).all(axis=(1, 2))
     arrays: list[IntersectionArray | None] = []
-    for r, ok in enumerate(regular.tolist()):
+    for ok, e, counted in zip(regular.tolist(), ecc.tolist(), levels.tolist()):
         if not ok:
             arrays.append(None)
             continue
-        down, stay, up = map(tuple, levels[r, : ecc[r] + 1].T.tolist())
+        down, stay, up = zip(*counted[: e + 1])
         arrays.append(IntersectionArray(b=up[:-1], c=down[1:], a=stay, part=None))
     return arrays, levels
 
@@ -959,9 +984,10 @@ def _transform_residuals(
     R, width = len(vertices), counts.shape[1] + 1  # one zero level past the deepest
     pseudo, exact = np.zeros((2, R, width, 3))
     # Every report's triples in one assignment: entry j of row r is level j.
-    sizes = np.array([len(levels) for levels in triples])
+    sizes = np.fromiter(map(len, triples), dtype=np.int64, count=R)
     row = np.repeat(np.arange(R), sizes)
-    pseudo[row, np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = [t for x in triples for t in x]
+    numbers = np.fromiter(chain.from_iterable(chain.from_iterable(triples)), dtype=float, count=3 * len(row))
+    pseudo[row, np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = numbers.reshape(-1, 3)
     exact[:, :-1] = counts
     key = (dist + width * np.arange(R)[:, None]).ravel()
     members = np.bincount(key, minlength=R * width).reshape(R, width)
@@ -1064,7 +1090,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
             _cache_distances(g, distances[j])
             dec = stack.spectra.decomposition(j)
             try:
-                reports = rows.reports(range(j * n, (j + 1) * n), dec, found[b])
+                reports = rows.reports(slice(j * n, (j + 1) * n), dec, found[b])
                 verdict, all_pdr = _pdr_suite(g, dec, reports, [p[j] for p in powers], table[j], tol, found[b])
             except NumericalError as exc:
                 found[b].append(Violation("numerical", str(exc)))

@@ -25,8 +25,8 @@ _RANK_FLOOR = 1e-20
 
 # Reductions over many rows, here and in the vertex pass, take the rows in
 # the chunks of _row_chunks, which keep each temporary within this many
-# float64 entries (past n = 90 a single row exceeds it); every n <= 6 graph
-# fits one chunk.
+# float64 entries (a row whose own temporary exceeds it is a chunk alone);
+# every n <= 6 graph fits one chunk.
 _BLOCK_ENTRIES = 2**13
 
 
@@ -64,13 +64,14 @@ class PredistanceSystem:
         return (col[:, 0] for col in runs)
 
 
-def _row_chunks(R: int, V: int, n: int) -> list[slice]:
-    """Consecutive slices of R rows that come in runs of V per graph of order n.
+def _row_chunks(R: int, V: int, per_row: int) -> list[slice]:
+    """Consecutive slices of R rows that come in runs of V per graph, where
+    the largest temporary of a row holds ``per_row`` float64 entries.
 
-    A slice holds at most max(1, _BLOCK_ENTRIES // n^2) rows: whole runs
+    A slice holds at most max(1, _BLOCK_ENTRIES // per_row) rows: whole runs
     while a run fits, else consecutive rows of one run.
     """
-    size = max(1, _BLOCK_ENTRIES // n**2)
+    size = max(1, _BLOCK_ENTRIES // per_row)
     if size >= V:
         step = size // V * V
         return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
@@ -203,7 +204,7 @@ def _predistance_block(
         off[:, i] = np.where(live, norm, 0.0)
         q[:, i + 1] = np.divide(v, norm[:, None], out=np.zeros_like(v), where=live[:, None])
     same = np.zeros((B, k))
-    for rows in _row_chunks(B, 1, k):
+    for rows in _row_chunks(B, 1, k * k):
         same[rows] = (np.square(q[rows]) @ support[rows, :, None])[:, :, 0]
 
     # p_i = s_i phat_i with s_i = alpha_u^2 phat_i(lambda0) enforces

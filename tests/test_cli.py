@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import pdrkit
@@ -30,6 +31,16 @@ ANALYZE_5_SHA256 = "de4ccc844c9d0f3b60bd591600f57aa3f7a041a4b464a0ca43a0dfc2df2d
 # up to local degree 39 (path:40, vertex 0).
 SPECTRUM_GRAPHS = ("petersen", "cycle:13", "path:5", "complete_bipartite:2,3", "hypercube:3", "path:40")
 SPECTRUM_VERTEX_SHA256 = "41cbc83b66aa682eba5f5e11342a35940e937b02ca4d05992225ac016fdbb232"
+
+# sha256 of the stdout of `pdrkit analyze --named S`, concatenated over S in
+# ANALYZE_LARGE_GRAPHS, in that order. It pins what the n <= 5 hash never
+# reaches: partition checks taken in several row chunks and long lists of
+# reals, up to n = 62 and local degree 61.
+ANALYZE_LARGE_GRAPHS = (
+    "petersen", "complete:30", "complete_bipartite:10,20", "hypercube:5", "cycle:27", "cycle:40", "path:22",
+    "path:29", "path:40", "cycle:62", "path:62",
+)
+ANALYZE_LARGE_SHA256 = "3abbf3f0d78e06c9ef58e3b77766486ad9ca4ce20f8f0e6a9008957163b260f8"
 
 # The public API, in pdrkit.__all__ order: adding or removing a name is a
 # deliberate edit of this list.
@@ -224,6 +235,15 @@ def test_analyze_small_corpus_golden(capsys):
             assert code == 0, err
             digest.update(out.encode("ascii"))
     assert digest.hexdigest() == ANALYZE_5_SHA256
+
+
+def test_analyze_large_graphs_golden(capsys):
+    digest = hashlib.sha256()
+    for spec in ANALYZE_LARGE_GRAPHS:
+        code, out, err = run_cli(capsys, "analyze", "--named", spec)
+        assert code == 0, (spec, err)
+        digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == ANALYZE_LARGE_SHA256
 
 
 def test_verify_enumerate_5_golden(capsys):
@@ -459,6 +479,19 @@ def test_bad_tolerance_stops_every_subcommand(capsys, monkeypatch, tmp_path):
     assert err == "input error: PDRKIT_EPS_GROUP must be a finite number > 0, got tiny\n"
 
 
+@pytest.mark.parametrize("source", ["enumerate", "corpus"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bad_jobs_is_an_input_error(capsys, monkeypatch, tmp_path, source, jobs):
+    # A worker count below 1 exits 2 before any output, as a bad tolerance does.
+    monkeypatch.setattr(pdrkit.cli, "ProcessPoolExecutor", None)  # must not be used
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nC~\n")
+    argv = ["--enumerate", "3"] if source == "enumerate" else [str(corpus)]
+    code, out, err = run_cli(capsys, "verify", *argv, "--per-graph", f"--jobs={jobs}")
+    assert (code, out) == (2, "")
+    assert err == f"input error: --jobs must be at least 1, got {jobs}\n"
+
+
 # --- module entry point -----------------------------------------------------------
 
 
@@ -527,6 +560,42 @@ def test_render_rejects_non_finite():
     with pytest.raises(ValueError):
         _render_json(float("nan"))
     assert _render_json({"x": [1.5, True, None, "s"]}) == '{"x":[1.5,true,null,"s"]}'
+
+
+def test_render_contract():
+    # Bytes and exceptions of the renderer, whichever path a value takes:
+    # exact Python types, all-float lists in one join, and the general path
+    # for numpy scalars, mixed lists and errors.
+    from pdrkit.cli import _render_json
+
+    cases = {
+        "0": -0.0,
+        "[0,1.5,0,0]": [-0.0, 1.5, 0.0, -0.0],
+        "[0]": [-0.0],
+        "0.1": np.float64(0.1),
+        "[0,2.5]": [np.float64(-0.0), 2.5],
+        "7": np.int64(7),
+        "[7,0.333333333333]": [np.int64(7), 1 / 3],
+        "[1.5,true,2,false]": [1.5, True, 2, False],
+        "[true,1]": [True, 1],
+        "[1,false]": [1.0, False],
+        "[1.5,2.5]": (1.5, 2.5),
+        '[1,"a",null,[]]': (1, "a", None, ()),
+        "[1,2.5,3]": [1, 2.5, 3],
+        "[1000000000000000,1e+15]": [10**15, 1e15],
+        "[0.333333333333,-2.5e-07,1.23456789012e+20]": [1 / 3, -2.5e-7, 123456789012345678901.0],
+        '{"a":[1,2],"b\\u00e9":{"c":-2.5}}': {"a": [1, 2], "b\u00e9": {"c": -2.5}},
+    }
+    assert {text: _render_json(obj) for text, obj in cases.items()} == {text: text for text in cases}
+    for bad in ([1.0, float("inf")], [float("nan")], [-float("inf"), 2.0], (0.5, float("nan")), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite value in report"):
+            _render_json(bad)
+    for bad in ({1: 2.0}, {"a": {(1, 2): "b"}}, {None: [1.5]}):
+        with pytest.raises(TypeError, match="JSON keys must be strings"):
+            _render_json(bad)
+    for bad in (np.bool_(True), [np.bool_(False)], [1.5, np.bool_(True)], {"x": np.bool_(False)}):
+        with pytest.raises(TypeError, match="cannot render"):
+            _render_json(bad)
 
 
 def test_package_exports_no_modules():

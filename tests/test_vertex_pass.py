@@ -275,15 +275,17 @@ def test_verify_graph_matches_per_vertex_loop(monkeypatch, spec):
 
 def test_blocks_stay_under_the_entry_budget(monkeypatch):
     # The partition check and the predistance contract take their rows in
-    # chunks: n = 40 gives chunks of 5 vertices, 5 * 40 * 40 = 8,000 entries,
-    # and every chunk of the contract keeps its (rows, k, k) products in the
-    # budget too. The loops over degree see every row at once.
+    # chunks sized by the entries one row allocates: on cycle:40 a row of the
+    # partition check holds n * m = 40 * 21 entries, so chunks have 9
+    # vertices, 9 * 40 * 21 = 7,560 entries, and every chunk of the contract
+    # keeps its (rows, k, k) products in the budget too. The loops over
+    # degree see every row at once.
     chunks, partition = [], []
     row_chunks, partition_chunk = pdr._row_chunks, pdr._partition_chunk
 
-    def record_chunks(R, V, n):
-        out = row_chunks(R, V, n)
-        chunks.append((R, V, n, [(s.start, s.stop) for s in out]))
+    def record_chunks(R, V, per_row):
+        out = row_chunks(R, V, per_row)
+        chunks.append((R, V, per_row, [(s.start, s.stop) for s in out]))
         return out
 
     def record_partition(adjacency, alpha, labels, eps):
@@ -294,22 +296,36 @@ def test_blocks_stay_under_the_entry_budget(monkeypatch):
     monkeypatch.setattr(pdr, "_partition_chunk", record_partition)
     g = generate_named("cycle", 40)
     pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
-    (R_contract, one, k, contract), (R, V, n, part) = chunks
-    assert (R, V, n) == (40, 40, 40) and part == [(lo, lo + 5) for lo in range(0, 40, 5)]
-    assert (R_contract, one) == (40, 1) and 1 < k <= n
+    (R_contract, one, kk, contract), (R, V, nm, part) = chunks
+    k = int(np.sqrt(kk))
+    assert (R, V, nm) == (40, 40, 40 * 21) and part == [(0, 9), (9, 18), (18, 27), (27, 36), (36, 40)]
+    assert (R_contract, one) == (40, 1) and kk == k * k and 1 < k <= 40
     assert [lo for lo, _ in contract] == [0] + [hi for _, hi in contract[:-1]] and contract[-1][1] == 40
     assert all((hi - lo) * k * k <= predistance._BLOCK_ENTRIES for lo, hi in contract)
-    assert [rows[:3] for rows in partition] == [(1, 5, 40)] * 8
+    assert [rows[:3] for rows in partition] == [(1, 9, 40)] * 4 + [(1, 4, 40)]
     assert all(rows * n * m <= predistance._BLOCK_ENTRIES for _, rows, n, m in partition)
 
     # A graph past the budget's reach splits a run; a stack of small graphs
     # takes whole graphs per chunk.
-    assert pdr._row_chunks(3 * 100, 100, 100) == [slice(lo, lo + 1) for lo in range(300)]
-    assert pdr._row_chunks(303 * 6, 6, 6) == [slice(lo, min(1818, lo + 222)) for lo in range(0, 1818, 222)]
+    assert pdr._row_chunks(3 * 100, 100, 100 * 100) == [slice(lo, lo + 1) for lo in range(300)]
+    assert pdr._row_chunks(303 * 6, 6, 6 * 6) == [slice(lo, min(1818, lo + 222)) for lo in range(0, 1818, 222)]
     chunks.clear()
     g = generate_named("complete", 6)
     pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
     assert [c[3] for c in chunks] == [[(0, 6)], [(0, 6)]]
+
+    # complete:30 has two cells around every vertex: its partition check and
+    # the integer level counts of classify (levels -1 .. 2) each fit one chunk.
+    chunks.clear()
+    partition.clear()
+    g = generate_named("complete", 30)
+    dec = decompose(g)
+    reports = pdr._vertex_pass(g, dec, DEFAULT_TOL, [])
+    assert [c[2:] for c in chunks[1:]] == [(30 * 2, [(0, 30)])] and partition == [(1, 30, 30, 2)]
+    assert all(rows * n * m <= predistance._BLOCK_ENTRIES for _, rows, n, m in partition)
+    chunks.clear()
+    assert classify(g, dec=dec, reports=reports).verdict == "distance_regular"
+    assert chunks == [(30, 30, 30 * 4, [(0, 30)])] and 30 * 30 * 4 <= predistance._BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("case", ["verify_graph cycle:40", "_vertex_pass path:40", "verify_graphs n=6 stack"])
@@ -350,20 +366,45 @@ PARENT_PEAK_MIB = {
 }
 
 
-def test_verify_graph_peak_memory_stays_near_the_parent():
+# tracemalloc peak of cli.analysis_report on a fresh graph, in MiB, measured
+# while the report was still assembled one number at a time and every row
+# chunk was sized as n^2 entries a row; the same 0.5 MiB allowance.
+ANALYSIS_PARENT_PEAK_MIB = {
+    ("complete", 30): 0.18,
+    ("complete_bipartite", 10, 20): 0.18,
+    ("hypercube", 5): 0.25,
+    ("cycle", 40): 0.79,
+    ("path", 40): 1.29,
+    ("cycle", 62): 2.61,
+    ("path", 62): 4.37,
+}
+
+
+def peaks_over_the_parent(run, parent_peaks: dict) -> dict:
+    """The graphs on which ``run`` peaks more than 0.5 MiB above ``parent_peaks``, with their peaks."""
     import tracemalloc
 
-    verify_graph(generate_named("petersen"))  # first-call imports and caches stay out of the peaks
+    run(generate_named("petersen"))  # first-call imports and caches stay out of the peaks
     peaks = {}
-    for spec in PARENT_PEAK_MIB:
+    for spec in parent_peaks:
         g = generate_named(*spec)
         tracemalloc.start()
         try:
-            verify_graph(g)
+            run(g)
             peaks[spec] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    assert {spec: peak for spec, peak in peaks.items() if peak > PARENT_PEAK_MIB[spec] + 0.5} == {}
+    return {spec: peak for spec, peak in peaks.items() if peak > parent_peaks[spec] + 0.5}
+
+
+def test_verify_graph_peak_memory_stays_near_the_parent():
+    assert peaks_over_the_parent(verify_graph, PARENT_PEAK_MIB) == {}
+
+
+def test_analysis_report_peak_memory_stays_near_the_parent():
+    from pdrkit.cli import analysis_report
+
+    assert peaks_over_the_parent(analysis_report, ANALYSIS_PARENT_PEAK_MIB) == {}
 
 
 def doctored_decomposition(g, eigenvalues, mults):
