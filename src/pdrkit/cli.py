@@ -38,11 +38,11 @@ from .graph_core import (
     Graph6Error,
     NAMED_FAMILIES,
     UnsupportedSizeError,
+    _connected_stacks,
     _graph6_codes,
     _graph6_strings,
     _parse_graph6_batch,
     distances_from,
-    enumerate_connected,
     generate_named,
     parse_graph6,
     serialize_graph6,
@@ -167,9 +167,11 @@ def _tolerances(args) -> ToleranceConfig:
 
 def _read_corpus(path: str) -> list[tuple[int, str]]:
     """(line number, graph6 string) pairs from a one-graph-per-line file;
-    '#' lines and blanks skipped, line numbers counted from 1."""
+    '#' lines and blanks skipped, line numbers counted from 1. Comment lines
+    may hold any bytes: a non-ASCII byte becomes a lone surrogate, which
+    :func:`parse_graph6` reports with its offset on a graph line."""
     out = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -337,13 +339,6 @@ def _connected_count(n: int) -> int:
     return counts[n]
 
 
-def _enumerated_graph6(n: int, size: int) -> Iterator[list[str]]:
-    """The graph6 strings of ``enumerate_connected(n)``, encoded ``size`` graphs at a time."""
-    graphs = enumerate_connected(n)
-    while chunk := list(islice(graphs, size)):
-        yield _graph6_strings(_graph6_codes(np.stack([g.adjacency for g in chunk])))
-
-
 def _batches(chunks: Iterable[list[str]], total: int, jobs: int) -> Iterator[list[str]]:
     """Consecutive runs of graph6 strings of one order, each as large as one
     stack of that order, and small enough that ``total`` graphs make at
@@ -383,8 +378,8 @@ def _cmd_verify(args) -> int:
             print("--enumerate supports 1 <= n <= 7", file=sys.stderr)
             return 2
         total = _connected_count(args.enumerate)
-        # The strings are encoded as batches are taken, never all at once.
-        chunks = _enumerated_graph6(args.enumerate, _stack_size(args.enumerate))
+        # The strings are encoded a chunk of edge masks at a time, as batches are taken.
+        chunks = (_graph6_strings(_graph6_codes(adj)) for adj in _connected_stacks(args.enumerate))
     else:
         try:
             lines = _read_corpus(args.corpus)

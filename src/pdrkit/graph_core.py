@@ -396,6 +396,14 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     vertex 0 in every mask of the chunk together. Guarded to n <= 7 against
     blow-up.
     """
+    for adj in _connected_stacks(n):
+        for a, edges in zip(adj, (np.count_nonzero(adj, axis=(1, 2)) // 2).tolist()):
+            yield Graph(n=n, adjacency=a.copy(), edge_count=edges)
+
+
+def _connected_stacks(n: int) -> Iterator[np.ndarray]:
+    """The graphs of :func:`enumerate_connected`, in its order, as one
+    (B, n, n) boolean adjacency stack per chunk of masks."""
     if not 1 <= n <= 7:
         raise ValueError(f"enumeration supports 1 <= n <= 7, got {n}")
     pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
@@ -419,8 +427,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         adj = np.zeros((len(kept), n, n), dtype=bool)
         adj[:, pairs[:, 0], pairs[:, 1]] = bits
         adj[:, pairs[:, 1], pairs[:, 0]] = bits
-        for a, edges in zip(adj, bits.sum(axis=1).tolist()):
-            yield Graph(n=n, adjacency=a.copy(), edge_count=edges)
+        yield adj
 
 
 # ---------------------------------------------------------------------------

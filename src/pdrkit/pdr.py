@@ -37,9 +37,8 @@ from .spectral import (
     SpectralDecomposition,
     ToleranceConfig,
     _SpectralStack,
-    _clamped_local_mults,
     _decompose_stack,
-    _local_spectrum,
+    _local_measures,
     _power_stack,
     adjacency_powers,
     decompose,
@@ -396,9 +395,10 @@ class _VertexRows:
     """Both characterizations at a block of (graph, vertex) rows, as arrays.
 
     Row r is vertex ``vertices[r]`` of graph ``graphs[r]`` of a stack.
-    ``mults`` holds the clamped local multiplicities, padded as the stack
-    is. ``local_errors`` and ``family_errors`` hold each row's numerical
-    error from its local multiplicities and from its predistance family.
+    ``mults``, ``support`` and ``sizes`` are the rows' local measures, as
+    :func:`~pdrkit.spectral._local_measures` builds them. ``local_errors``
+    and ``family_errors`` hold each row's numerical error from its local
+    multiplicities and from its predistance family.
     ``violations[r]`` lists the row's violations in the order
     :func:`verify_graph` reports them (empty outside it), and ``flagged[r]``
     is set when the row has a violation or an error.
@@ -407,6 +407,8 @@ class _VertexRows:
     graphs: np.ndarray
     vertices: np.ndarray
     mults: np.ndarray
+    support: np.ndarray
+    sizes: np.ndarray
     ecc: np.ndarray
     extremal: np.ndarray
     via_polynomials: np.ndarray
@@ -433,10 +435,10 @@ class _VertexRows:
         witnesses = iter(self.partition.witnesses(at[~passing]))
         # Each array's Python values are read once for all the rows.
         columns = (at, passing, self.vertices[rows], self.via_polynomials[rows], self.extremal[rows], self.ecc[rows])
-        fields = zip(*(c.tolist() for c in columns))
+        fields = zip(*(c.tolist() for c in (*columns, self.sizes[rows])))
         reports: list[PdrVertexReport | None] = []
-        for (r, via_partition, u, via_polynomials, extremal, ecc), mults in zip(
-            fields, self.mults[rows, : len(dec.eigenvalues)]
+        for (r, via_partition, u, via_polynomials, extremal, ecc, size), mults, support in zip(
+            fields, self.mults[rows, : len(dec.eigenvalues)], self.support[rows]
         ):
             if self.local_errors[r] is not None:
                 raise self.local_errors[r]
@@ -461,7 +463,7 @@ class _VertexRows:
                     via_polynomials=via_partition,
                     extremal=extremal,
                     eccentricity=ecc,
-                    spectrum=_local_spectrum(dec, u, mults),
+                    spectrum=LocalSpectrum(u, dec.eigenvalues, mults, support[:size], size - 1),
                     quotient=quotient,
                     witness=witness,
                 )
@@ -544,16 +546,8 @@ def _vertex_block(
     R = len(vertices)
     lam0 = spectra.eigenvalues[graphs, 0]
     alpha_u = spectra.perron[graphs, vertices]
-    mults, local_errors = _clamped_local_mults(spectra, graphs, vertices, tol)
-    # Each row's support moved to its front, in decreasing order.
-    present = mults > 0
-    sizes = present.sum(axis=1)
-    width = max(1, int(sizes.max()))
-    order = np.argsort(~present, axis=1, kind="stable")[:, :width]
-    kept = np.arange(width) < sizes[:, None]
-    support = np.where(kept, spectra.eigenvalues[graphs[:, None], order], 0.0)
-    weights = np.where(kept, mults[np.arange(R)[:, None], order], 0.0)
-    block = _predistance_block(vertices, support, weights, sizes, lam0, alpha_u)
+    mults, support, weights, sizes, local_errors = _local_measures(spectra, graphs, vertices, tol)
+    block = _predistance_block(vertices, support, weights, sizes, alpha_u)
 
     dist = stack.distances[graphs, vertices]
     ecc = dist.max(axis=1)
@@ -617,6 +611,8 @@ def _vertex_block(
         graphs=graphs,
         vertices=vertices,
         mults=mults,
+        support=support,
+        sizes=sizes,
         ecc=ecc,
         extremal=extremal,
         via_polynomials=via_polynomials,

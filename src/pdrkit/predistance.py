@@ -141,48 +141,27 @@ def _predistance_block(
     support: np.ndarray,
     weights: np.ndarray,
     sizes: np.ndarray,
-    lambda0: float | np.ndarray,
     alphas: np.ndarray,
 ) -> _PredistanceBlock:
     """Build the predistance families of a block of vertices at once.
 
     Row b of the (B, k) arrays ``support`` and ``weights`` holds the
-    measure of ``vertices[b]`` in its first ``sizes[b]`` slots; ``lambda0``
-    holds the spectral radius of each row's graph, or one for all, and
-    ``alphas`` their Perron entries. Lanczos runs on every row together, one
-    degree at a time; a row that fails validation or loses rank stops there
-    and records the error that :func:`build_predistance` raises for it.
+    measure of ``vertices[b]`` in its first ``sizes[b]`` slots, zeros
+    after: nonempty, positive and strictly decreasing from the spectral
+    radius, as the local measures of a decomposition are. ``alphas`` holds
+    the rows' Perron entries. Lanczos runs on every row together, one
+    degree at a time; a row that loses rank stops there and records its
+    :class:`IllConditionedMeasureError`.
     """
     B, k = support.shape
-    valid = np.arange(k) < sizes[:, None]
-    problems = [
-        (sizes == 0, "empty local spectrum"),
-        (
-            ((support[:, 1:] >= support[:, :-1]) & valid[:, 1:]).any(axis=1),
-            "support values must be strictly decreasing",
-        ),
-        (((weights <= 0) & valid).any(axis=1), "support weights must be positive"),
-        (
-            (sizes > 0) & (np.abs(support[:, 0] - lambda0) > 1e-9 * np.maximum(1.0, np.abs(lambda0))),
-            "spectral radius must be the largest support value",
-        ),
-    ]
     errors: list[Exception | None] = [None] * B
     live = np.ones(B, dtype=bool)
-    for bad, message in reversed(problems):
-        if bad.any():
-            live &= ~bad
-            for b in np.flatnonzero(bad):
-                errors[b] = ValueError(message)
-    support = np.where(valid & live[:, None], support, 0.0)
-    weights = np.where(valid & live[:, None], weights, 0.0)
 
     # Lanczos on diag(support), reorthogonalized twice: q[b, i] is
     # sqrt(weights) times the i-th orthonormal polynomial of row b on its
     # support, and off[b, i] its Jacobi matrix's off-diagonal.
     q = np.zeros((B, k, k))
-    total = weights.sum(axis=1, keepdims=True)
-    q[:, 0] = np.sqrt(np.divide(weights, total, out=np.zeros_like(weights), where=total > 0))
+    q[:, 0] = np.sqrt(weights / weights.sum(axis=1, keepdims=True))
     off = np.zeros((B, k))
     for i in range(k - 1):
         live &= i < sizes - 1
@@ -227,14 +206,22 @@ def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> Pred
     """Construct the vertex's orthogonal polynomial family and recurrence.
 
     ``lambda0`` is the spectral radius and ``alpha_u`` the vertex's Perron
-    entry. Raises :class:`IllConditionedMeasureError` on numerical rank loss
-    before the local degree is reached. The one-row case of
-    :func:`_predistance_block`.
+    entry. Raises ValueError on a local spectrum that is empty, not
+    strictly decreasing, not positive or not led by ``lambda0``, and
+    :class:`IllConditionedMeasureError` on numerical rank loss before the
+    local degree is reached. The one-row case of :func:`_predistance_block`.
     """
-    k = len(ls.values)
-    support, weights = np.zeros((2, 1, max(k, 1)))
-    support[0, :k], weights[0, :k] = ls.values, ls.support_weights
-    block = _predistance_block(np.array([ls.vertex]), support, weights, np.array([k]), lambda0, np.array([alpha_u]))
+    support, weights = np.array([ls.values, ls.support_weights], dtype=float)[:, None]
+    if not support.size:
+        raise ValueError("empty local spectrum")
+    if (support[0, 1:] >= support[0, :-1]).any():
+        raise ValueError("support values must be strictly decreasing")
+    if (weights <= 0).any():
+        raise ValueError("support weights must be positive")
+    if abs(support[0, 0] - lambda0) > 1e-9 * max(1.0, abs(lambda0)):
+        raise ValueError("spectral radius must be the largest support value")
+    sizes, alphas = np.array([support.shape[1]]), np.array([alpha_u])
+    block = _predistance_block(np.array([ls.vertex]), support, weights, sizes, alphas)
     (error,) = block.errors
     if error is not None:
         raise error

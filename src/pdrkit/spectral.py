@@ -96,8 +96,10 @@ class LocalSpectrum:
     """The spectrum of the graph as seen from one vertex.
 
     ``local_mults`` is aligned with ``eigenvalues`` (the full distinct list)
-    and has entries below the clamp threshold set to exactly zero;
-    ``values`` keeps only eigenvalues with nonzero clamped multiplicity.
+    and has entries below the clamp threshold set to exactly zero, except
+    the spectral radius's; ``values`` keeps only eigenvalues with nonzero
+    clamped multiplicity, so it starts at the spectral radius and strictly
+    decreases. :func:`build_predistance` checks that of a caller-built one.
     ``local_degree`` is len(values) - 1 and bounds the vertex eccentricity
     from above.
     """
@@ -111,7 +113,7 @@ class LocalSpectrum:
     @property
     def support_weights(self) -> np.ndarray:
         """Local multiplicities restricted to ``values``."""
-        return self.local_mults[self.local_mults > 0]
+        return self.local_mults[self.local_mults != 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +135,12 @@ class _SpectralStack:
 
     @classmethod
     def of(cls, dec: SpectralDecomposition) -> "_SpectralStack":
-        """The one-graph stack of a decomposition."""
+        """The one-graph stack of a decomposition, refused with ValueError
+        where it breaks the contract that every local measure relies on."""
+        if (np.diff(dec.eigenvalues) >= 0).any():
+            raise ValueError("eigenvalues must be strictly decreasing")
+        if (np.diagonal(dec.idempotents[0]) <= 0).any():
+            raise ValueError("the spectral radius must have positive local multiplicity at every vertex")
         return cls(
             eigenvalues=dec.eigenvalues[None],
             multiplicities=dec.multiplicities[None],
@@ -284,44 +291,51 @@ def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposi
     return _decompose_stack(g.adjacency_matrix()[None], tol).decomposition(0)
 
 
-def _clamped_local_mults(
+def _local_measures(
     spectra: _SpectralStack, graphs: np.ndarray, vertices: np.ndarray, tol: ToleranceConfig
-) -> tuple[np.ndarray, list[NumericalError | None]]:
-    """Local multiplicities of a block of (graph, vertex) rows, one read-only row each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[NumericalError | None]]:
+    """(mults, support, weights, sizes, errors), read-only: the local measures of (graph, vertex) rows.
 
-    Row r holds the (u, u) entries of graph ``graphs[r]``'s idempotents for
-    u = vertices[r], padded with zeros as the stack is, with entries below
-    ``eps_mult`` in magnitude set to exactly zero. ``errors[r]`` is the
-    error for a row left with a negative entry, else None.
+    Row r of ``mults`` holds the (u, u) entries of graph ``graphs[r]``'s
+    idempotents for u = vertices[r], padded as the stack is, with entries
+    below ``eps_mult`` in magnitude set to exactly zero, except the
+    spectral radius's, alpha_u^2 / n > 0. Its ``sizes[r]`` positive entries
+    and their eigenvalues, in decreasing order, lead ``weights[r]`` and
+    ``support[r]``, zeros after. ``errors[r]`` is the error for a row left
+    with a negative entry, else None.
     """
     mults = spectra.idempotents[graphs, :, vertices, vertices]
-    mults[np.abs(mults) < tol.eps_mult] = 0.0
-    mults.setflags(write=False)
+    rest = mults[:, 1:]  # the spectral radius keeps its weight, however small
+    rest[np.abs(rest) < tol.eps_mult] = 0.0
+    present = mults > 0
+    sizes = present.sum(axis=1)
+    width = max(1, int(sizes.max()))
+    order = np.argsort(~present, axis=1, kind="stable")[:, :width]
+    kept = np.arange(width) < sizes[:, None]
+    support = np.where(kept, spectra.eigenvalues[graphs[:, None], order], 0.0)
+    weights = np.where(kept, mults[np.arange(len(vertices))[:, None], order], 0.0)
+    for a in (mults, support, weights):
+        a.setflags(write=False)
     errors: list[NumericalError | None] = [None] * len(vertices)
     for r in np.flatnonzero((mults < 0).any(axis=1)).tolist():
         errors[r] = NumericalError(f"negative local multiplicity beyond clamp at vertex {vertices[r]}")
-    return mults, errors
-
-
-def _local_spectrum(dec: SpectralDecomposition, u: int, mults: np.ndarray) -> LocalSpectrum:
-    values = dec.eigenvalues[mults > 0]
-    return LocalSpectrum(
-        vertex=u, eigenvalues=dec.eigenvalues, local_mults=mults, values=values, local_degree=len(values) - 1
-    )
+    return mults, support, weights, sizes, errors
 
 
 def local_spectrum(dec: SpectralDecomposition, u: int, tol: ToleranceConfig = DEFAULT_TOL) -> LocalSpectrum:
     """Local multiplicities of vertex u, clamped, with their support.
 
     The raw multiplicity of eigenvalue i is the (u, u) entry of idempotent
-    i; entries below ``eps_mult`` in magnitude become exactly zero.
+    i; entries below ``eps_mult`` in magnitude become exactly zero, except
+    the spectral radius's. The one-row case of :func:`_local_measures`.
     """
     if not 0 <= u < dec.n:
         raise ValueError(f"vertex {u} out of range")
-    (mults,), (error,) = _clamped_local_mults(_SpectralStack.of(dec), np.zeros(1, dtype=np.int64), np.array([u]), tol)
+    measures = _local_measures(_SpectralStack.of(dec), np.array([0]), np.array([u]), tol)
+    (mults,), (support,), _, (size,), (error,) = measures
     if error is not None:
         raise error
-    return _local_spectrum(dec, u, mults)
+    return LocalSpectrum(u, dec.eigenvalues, mults, support[:size], int(size) - 1)
 
 
 def adjacency_powers(g: Graph, max_power: int) -> list[np.ndarray]:

@@ -271,6 +271,47 @@ def test_verify_corpus_survives_disconnected_graph(capsys, tmp_path, jobs):
     }
 
 
+# K4 + P9, K5 + P7 and K6 + P6: cliques with a path hanging off one vertex,
+# whose path end has a spectral-radius weight alpha_u^2 / n below eps_mult.
+LOLLIPOPS = ("L~CGGC@?G?_@?@", "K~{GGC@?G?_@", "K~~wGC@?G?_@")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_corpus_keeps_the_spectral_radius_in_every_local_measure(capsys, tmp_path, jobs):
+    corpus = tmp_path / "lollipops.g6"
+    corpus.write_text("\n".join(["Bw", *LOLLIPOPS, "C~"]) + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "verify", str(corpus), "--jobs", jobs, "--per-graph")
+    assert (code, err) == (0, "")
+    *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["graph6"], r["verdict"], r["violations"]) for r in records] == [
+        ("Bw", "distance_regular", []),
+        *((s, "not_pdr", []) for s in LOLLIPOPS),
+        ("C~", "distance_regular", []),
+    ]
+    assert summary["total"] == 5 and summary["violations"] == 0
+
+
+def test_analyze_lollipop_is_not_pdr(capsys):
+    doc = run_json(capsys, "analyze", LOLLIPOPS[1])
+    assert doc["classification"]["verdict"] == "not_pdr" and doc["classification"]["witness"] == 0
+    assert all(v["local_mults"][0] > 0 for v in doc["per_vertex"])
+
+
+def test_verify_corpus_comments_may_hold_any_bytes(capsys, tmp_path):
+    corpus = tmp_path / "commented.g6"
+    corpus.write_bytes("# café\nBw\n".encode("utf-8"))
+    code, out, _ = run_cli(capsys, "verify", str(corpus))
+    assert code == 0 and json.loads(out)["total"] == 1
+
+
+def test_verify_corpus_names_a_non_ascii_graph_line(capsys, tmp_path):
+    corpus = tmp_path / "accented.g6"
+    corpus.write_bytes("Bw\nC~é\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "verify", str(corpus))
+    assert (code, out) == (2, "")
+    assert err == f"{corpus}:2: non-ASCII character (byte offset 2)\n"
+
+
 def test_verify_jobs_output_identical(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--enumerate", "4", "--per-graph")
     _, out2, _ = run_cli(capsys, "verify", "--enumerate", "4", "--per-graph", "--jobs", "2")

@@ -12,6 +12,7 @@ from pdrkit import (
     Graph,
     IllConditionedMeasureError,
     InternalCheckError,
+    NumericalError,
     QuotientMatrix,
     ToleranceConfig,
     VERDICT_DISTANCE_BIREGULAR,
@@ -31,6 +32,7 @@ from pdrkit import (
     is_pdr_around,
     local_spectrum,
     pseudo_regular_check,
+    serialize_graph6,
     verify_graph,
     walk_formula_check,
     walk_regularity,
@@ -578,6 +580,71 @@ def test_classify_high_local_degree(spec, verdict):
 @pytest.mark.parametrize("spec", [("cycle", 40), ("cycle", 45), ("path", 22), ("path", 29), ("path", 40)])
 def test_verify_graph_clean_at_high_local_degree(spec):
     assert verify_graph(generate_named(*spec)).violations == ()
+
+
+def lollipop(m, p):
+    """K_m + P_p: the clique 0..m-1 with the path m, m+1, ..., m+p-1 hanging off vertex m-1."""
+    edges = [(u, v) for v in range(m) for u in range(v)]
+    return Graph.from_edges(m + p, edges + [(v - 1, v) for v in range(m, m + p)])
+
+
+def random_connected_graphs(count, seed=1):
+    """Seeded connected graphs with 2 <= n <= 30: a random spanning tree, then
+    random extra edges, a clique on the first vertices, or G(n, q) edges, and
+    a random relabelling."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 31))
+        adj = np.zeros((n, n), dtype=bool)
+        for v in range(1, n):
+            u = int(rng.integers(v))
+            adj[u, v] = adj[v, u] = True
+        kind = int(rng.integers(3))
+        if kind == 0:
+            for u, v in rng.integers(n, size=(int(rng.integers(n + 1)), 2)).tolist():
+                adj[u, v] = adj[v, u] = u != v
+        elif kind == 1:
+            m = int(rng.integers(2, n + 1))
+            adj[:m, :m] = True
+        else:
+            upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+            adj |= upper | upper.T
+        np.fill_diagonal(adj, False)
+        perm = rng.permutation(n)
+        yield Graph.from_adjacency(adj[np.ix_(perm, perm)])
+
+
+def test_lollipops_never_abort():
+    # The path end of a lollipop has a Perron entry far below the clamp
+    # threshold of its squared value; the spectral radius must stay in its
+    # local measure, so that neither entry point fails on the graph.
+    assert serialize_graph6(lollipop(5, 7)) == "K~{GGC@?G?_@"
+    for m in range(3, 16):
+        for p in range(1, 16):
+            g = lollipop(m, p)
+            verify_graph(g)
+            try:
+                classify(g)
+            except NumericalError:
+                pass
+
+
+def test_short_lollipops_are_clean_not_pdr():
+    for m in range(3, 16):
+        for p in range(1, 7):
+            g = lollipop(m, p)
+            result = verify_graph(g)
+            assert (result.verdict, result.violations) == (VERDICT_NOT_PDR, ()), (m, p)
+            assert classify(g).verdict == VERDICT_NOT_PDR, (m, p)
+
+
+def test_random_connected_graphs_never_abort():
+    # Graphs with a vertex whose spectral-radius weight alpha_u^2 / n falls
+    # below eps_mult are among these; each gets a result.
+    graphs = list(random_connected_graphs(300))
+    assert min(float(decompose(g).perron.min()) ** 2 / g.n for g in graphs) < DEFAULT_TOL.eps_mult
+    for g in graphs:
+        verify_graph(g)
 
 
 @pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])

@@ -230,15 +230,24 @@ def test_ill_conditioned_support_raises():
 
 
 def test_build_rejects_bad_support():
-    ls = LocalSpectrum(
-        vertex=0,
-        eigenvalues=np.array([2.0, 1.0]),
-        local_mults=np.array([0.5, 0.5]),
-        values=np.array([1.0, 2.0]),  # not decreasing
-        local_degree=1,
-    )
-    with pytest.raises(ValueError):
-        build_predistance(ls, 2.0, 1.0)
+    # A local spectrum a caller built is checked before Lanczos runs, with
+    # one message per broken condition.
+    cases = [
+        ([2.0, 1.0], [0.0, 0.0], [], 2.0, "empty local spectrum"),
+        ([2.0, 1.0], [0.5, 0.5], [1.0, 2.0], 2.0, "support values must be strictly decreasing"),
+        ([2.0, 1.0, -1.0], [0.5, -0.1, 0.6], [2.0, 1.0, -1.0], 2.0, "support weights must be positive"),
+        ([2.0, 1.0], [0.5, 0.5], [2.0, 1.0], 3.0, "spectral radius must be the largest support value"),
+    ]
+    for eigenvalues, mults, values, lambda0, message in cases:
+        ls = LocalSpectrum(
+            vertex=0,
+            eigenvalues=np.array(eigenvalues),
+            local_mults=np.array(mults),
+            values=np.array(values),
+            local_degree=len(values) - 1,
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_predistance(ls, lambda0, 1.0)
 
 
 # --- columns p_i(A)e_u ---------------------------------------------------------

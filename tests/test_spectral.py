@@ -11,6 +11,7 @@ from pdrkit import (
     decompose,
     enumerate_connected,
     generate_named,
+    is_pdr_around,
     local_spectrum,
 )
 from pdrkit.graph_core import ConnectivityError, Graph
@@ -247,3 +248,21 @@ def test_negative_local_multiplicity_raises():
     )
     with pytest.raises(NumericalError):
         local_spectrum(broken, 0)
+
+
+@pytest.mark.parametrize("flaw", ["unsorted eigenvalues", "zero spectral-radius entry"])
+def test_decomposition_breaking_its_contract_raises(flaw):
+    # Every local measure built from a decomposition starts at the spectral
+    # radius with positive weight and decreases strictly; a caller-built
+    # decomposition that breaks that is refused before Lanczos runs.
+    g = generate_named("cycle", 4)
+    dec = decompose(g)
+    eigenvalues, idempotents = dec.eigenvalues.copy(), dec.idempotents.copy()
+    if flaw == "unsorted eigenvalues":
+        eigenvalues[[0, 1]] = eigenvalues[[1, 0]]
+    else:
+        idempotents[0, 2, 2] = 0.0
+    broken = type(dec)(eigenvalues, dec.multiplicities, idempotents, dec.perron)
+    for call in (lambda: local_spectrum(broken, 0), lambda: is_pdr_around(g, broken, 0)):
+        with pytest.raises(ValueError):
+            call()

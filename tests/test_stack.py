@@ -107,9 +107,9 @@ def test_mixed_stack_keeps_each_error_with_its_graph(monkeypatch):
 
     build = pdr._predistance_block
 
-    def forced_rank_loss(vertices, support, weights, sizes, lambda0, alphas):
-        block = build(vertices, support, weights, sizes, lambda0, alphas)
-        hit = (np.abs(np.broadcast_to(lambda0, vertices.shape) - 4.0) < 1e-9) & (vertices == 2)
+    def forced_rank_loss(vertices, support, weights, sizes, alphas):
+        block = build(vertices, support, weights, sizes, alphas)
+        hit = (np.abs(support[:, 0] - 4.0) < 1e-9) & (vertices == 2)
         forced = IllConditionedMeasureError("forced rank loss at vertex 2")
         errors = [forced if h else e for h, e in zip(hit, block.errors)]
         return dataclasses.replace(block, errors=errors)
