@@ -136,7 +136,10 @@ def _round_if_close(xs: Sequence[float], eps: float = 1e-6) -> list:
 
 def _parse_named_spec(spec: str) -> Graph:
     name, _, tail = spec.partition(":")
-    params = [int(p) for p in tail.split(",")] if tail else []
+    try:
+        params = [int(p) for p in tail.split(",")] if tail else []
+    except ValueError:
+        raise ValueError(f"named spec {spec!r}: parameters must be integers") from None
     return generate_named(name, *params)
 
 

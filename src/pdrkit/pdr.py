@@ -256,10 +256,11 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
 
     The rows come in G runs of V = R / G, one run per graph: row r is a
     partition of the graph with boolean adjacency ``adjacency[r // V]`` and
-    Perron vector ``alpha[r // V]``, checked at threshold ``eps[r]``. The
-    rows are checked a chunk of :func:`_row_chunks` at a time; a row's
-    largest temporaries, its flows and cell indicators, hold n * m entries
-    for m cells.
+    Perron vector ``alpha[r // V]``, checked at threshold ``eps[r]``. Every
+    row is taken with the block's m cells, the most of any row, so that
+    the chunks' arrays join as they are. The rows are checked a chunk of
+    :func:`_row_chunks` at a time; a row's largest temporaries, its flows
+    and cell indicators, hold n * m entries.
     """
     R, n = labels.shape
     V = R // len(adjacency)
@@ -267,37 +268,32 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
     parts = []
     for rows in _row_chunks(R, V, n * m):
         runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
-        parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows]))
-    if len(parts) == 1:
-        return parts[0]
-    passing = np.concatenate([p.passing for p in parts])
-    means = np.zeros((np.count_nonzero(passing), m, m))
-    lo = 0
-    for p in parts:
-        P, k, _ = p.means.shape
-        means[lo : lo + P, :k, :k] = p.means
-        lo += P
+        parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows], m))
+    passing, means, witness, values = map(np.concatenate, zip(*parts))
     return _PartitionRows(
         passing=passing,
         cells=labels.max(axis=1) + 1,
         passed=np.flatnonzero(passing),
         means=means,
         failing=np.flatnonzero(~passing),
-        witness=np.concatenate([p.witness for p in parts]),
-        values=np.concatenate([p.values for p in parts]),
+        witness=witness,
+        values=values,
     )
 
 
-def _partition_chunk(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
-    """:func:`_partition_rows` on one chunk of rows.
+def _partition_chunk(
+    adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_partition_rows` on one chunk of rows, with m cells a row.
 
-    The flows of all rows come from one stacked matrix product, with each
-    graph's matrix shared by its run, and their spreads from one segment
-    reduction over (row, cell).
+    Returns whether each row passes, the (P, m, m) means of the P passing
+    rows, and the witness and values of each failing row, as
+    :class:`_PartitionRows` holds them. The flows of all rows come from one
+    stacked matrix product, with each graph's matrix shared by its run,
+    and their spreads from one segment reduction over (row, cell).
     """
     R, n = labels.shape
     G = len(adjacency)
-    m = int(labels.max()) + 1
     cells = (labels[:, :, None] == np.arange(m)).astype(float).reshape(G, R // G, n, m)
     flows = ((adjacency * alpha[:, None, :])[:, None] @ cells).reshape(R, n, m)
     del cells
@@ -319,28 +315,14 @@ def _partition_chunk(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarra
     first, last = np.minimum(lo, hi), np.maximum(lo, hi)
     pick = np.arange(len(rows))
 
-    # Each cell's rows are added one at a time in id order, rank r of every
-    # cell in one step, so each entry is bit for bit the mean over the cell's
-    # members taken in order; np.add.reduceat adds in another order.
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    rank = np.empty(R * n, dtype=np.int64)
-    rank[order] = np.arange(R * n) - np.searchsorted(ordered, ordered)
-    rank = np.where(passing[:, None], rank.reshape(R, n), -1)
+    # np.add.at adds repeated indices one at a time in index order, so each
+    # entry is bit for bit the mean over the cell's members taken in id
+    # order; np.add.reduceat adds in another order.
     total = np.zeros((R, m, m))
-    for r in range(int(rank.max()) + 1):
-        b, v = np.nonzero(rank == r)
-        total[b, labels[b, v]] += flows[b, v]
+    np.add.at(total.reshape(R * m, m), key, flows.reshape(R * n, m))
     total /= np.maximum(np.bincount(key, minlength=R * m), 1).reshape(R, m, 1)
-    return _PartitionRows(
-        passing=passing,
-        cells=labels.max(axis=1) + 1,
-        passed=np.flatnonzero(passing),
-        means=total[passing],
-        failing=rows,
-        witness=np.stack([cell, target, first, last], axis=1),
-        values=np.stack([col[pick, first], col[pick, last]], axis=1),
-    )
+    witness = np.stack([cell, target, first, last], axis=1)
+    return passing, total[passing], witness, np.stack([col[pick, first], col[pick, last]], axis=1)
 
 
 def pseudo_regular_check(
@@ -491,8 +473,7 @@ def is_pdr_around(
     pass that :func:`classify` runs.
     """
     distances_from(g, u)  # validates u and connectivity
-    one = np.zeros(1, dtype=np.int64)
-    rows = _vertex_block(_GraphStack.of(g, dec), one, np.array([u]), tol)
+    rows = _vertex_block(_GraphStack.of(g, dec), np.array([u]), tol)
     (report,) = rows.reports(slice(None), dec, None)
     return report
 
@@ -520,29 +501,24 @@ def _vertex_pass(
     :func:`is_pdr_around` gives them, with ``violations`` as
     :func:`verify_graph` needs them.
     """
-    one = np.zeros(1, dtype=np.int64)
-    rows = _vertex_block(_GraphStack.of(g, dec), one, np.arange(g.n), tol, violations is not None)
+    rows = _vertex_block(_GraphStack.of(g, dec), np.arange(g.n), tol, violations is not None)
     return rows.reports(slice(None), dec, violations)
 
 
-def _vertex_block(
-    stack: _GraphStack,
-    graphs: np.ndarray,
-    vertices: np.ndarray,
-    tol: ToleranceConfig,
-    verify: bool = False,
-) -> _VertexRows:
-    """Both characterizations at every listed vertex of every listed graph of a stack.
+def _vertex_block(stack: _GraphStack, vertices: np.ndarray, tol: ToleranceConfig, verify: bool = False) -> _VertexRows:
+    """Both characterizations at every listed vertex of every graph of a stack.
 
-    Row r is vertex ``vertices[r % V]`` of graph ``graphs[r // V]``, for
+    Row r is vertex ``vertices[r % V]`` of graph r // V, for
     V = len(vertices). The loops over degree, Lanczos and the recurrence on
     unit columns, run once over all rows; the partition check and the
     predistance contract run in row chunks. With ``verify`` every row also
-    gets its predistance contract checked and its violations listed.
+    gets its predistance contract checked and its violations listed: the
+    two characterizations must agree, and where both hold the quotient
+    must pass the sum rule and match the recurrence.
     """
     spectra = stack.spectra
-    adjacency, alpha = stack.adjacency[graphs], spectra.perron[graphs]
-    graphs, vertices = np.repeat(graphs, len(vertices)), np.tile(vertices, len(graphs))
+    adjacency, alpha = stack.adjacency, spectra.perron
+    graphs, vertices = np.repeat(np.arange(len(adjacency)), len(vertices)), np.tile(vertices, len(adjacency))
     R = len(vertices)
     lam0 = spectra.eigenvalues[graphs, 0]
     alpha_u = spectra.perron[graphs, vertices]
@@ -585,17 +561,12 @@ def _vertex_block(
             # Bare eps_pdr, stricter than the scaled spread threshold; kept
             # unscaled so that this gate is not loosened.
             sum_res = np.where(levels, np.abs(triples.sum(axis=2) - lam0[pdr, None]), 0.0).max(axis=1)
-            recurrence = recurrence_levels[pdr]
-            width = max(triples.shape[1], recurrence.shape[1])
-            gap = np.abs(
-                np.pad(triples, [(0, 0), (0, width - triples.shape[1]), (0, 0)])
-                - np.pad(recurrence, [(0, 0), (0, width - recurrence.shape[1]), (0, 0)])
-            )
-            four_res = np.where(np.arange(width)[:, None] < part.cells[pdr, None, None], gap, 0.0).max(axis=(1, 2))
+            # A row with a polynomial verdict is extremal, so its cells are
+            # its support size, and both triple arrays are zero past it.
+            width = min(triples.shape[1], recurrence_levels.shape[1])
+            four_res = np.abs(triples[:, :width] - recurrence_levels[pdr, :width]).max(axis=(1, 2))
             for i, r in enumerate(pdr.tolist()):
                 u, found = vertices[r], []
-                if not extremal[r]:
-                    found.append(Violation("extremality", f"vertex {u} is pseudo-distance-regular but not extremal"))
                 if sum_res[i] > tol.eps_pdr:
                     found.append(Violation("sum_rule", f"vertex {u}: residual {sum_res[i]:.3e}"))
                 if four_res[i] > eps[r]:
@@ -1075,7 +1046,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
     # The vertex pass over every (graph, vertex) row; a graph leaves the
     # stack when a row of it is flagged or when every row passes.
     n = adjacency.shape[1]
-    rows = _vertex_block(stack, np.arange(len(good)), np.arange(n), tol, verify=True)
+    rows = _vertex_block(stack, np.arange(n), tol, verify=True)
     flagged, failing = np.zeros((2, len(good)), dtype=bool)
     flagged[rows.graphs[rows.flagged]] = True
     failing[rows.graphs[~rows.partition.passing]] = True
@@ -1155,19 +1126,22 @@ def _pdr_suite(
     tol: ToleranceConfig,
     violations: list[Violation],
 ) -> tuple[str | None, bool]:
-    """The checks of :func:`verify_graph` that follow the vertex pass; returns (verdict, all_pdr)."""
+    """The checks of :func:`verify_graph` that follow the vertex pass; returns (verdict, all_pdr).
+
+    :func:`classify` checks the verdict: an all-PDR graph that fails its
+    integer oracles or its Perron levels is a ``classification_internal``
+    violation. An all-PDR graph then gets its adjacent-pair walk formulas
+    checked.
+    """
     if any(r is None for r in reports):
         return None, False
+    all_pdr = all(r.is_pdr for r in reports)
     try:
         cls = classify(g, tol, dec=dec, reports=reports)
     except InternalCheckError as exc:
         violations.append(Violation("classification_internal", str(exc)))
-        return None, all(r.is_pdr for r in reports)
-
-    all_pdr = all(r.is_pdr for r in reports)
+        return None, all_pdr
     if all_pdr:
-        if cls.verdict not in (VERDICT_DISTANCE_REGULAR, VERDICT_DISTANCE_BIREGULAR):
-            violations.append(Violation("dichotomy", f"all-PDR graph classified {cls.verdict}"))
         # Adjacent-pair walk formulas, all edges per length, reported edge by edge.
         lam0 = dec.spectral_radius
         us, vs = np.nonzero(np.triu(g.adjacency, 1))
@@ -1178,14 +1152,4 @@ def _pdr_suite(
             violations.append(
                 Violation("walk_formula", f"edge ({us[e]}, {vs[e]}), length {length}: residual {worst[e, length]:.3e}")
             )
-        # Neighbors of a common vertex carry equal Perron entries; unscaled
-        # eps_alpha, as for the Perron levels in classify.
-        alpha = dec.perron
-        adj = g.adjacency
-        spread = np.where(adj, alpha, -np.inf).max(axis=1) - np.where(adj, alpha, np.inf).min(axis=1)
-        for u in np.flatnonzero((g.degrees > 1) & (spread > tol.eps_alpha)):
-            violations.append(Violation("neighbor_alpha", f"vertex {u}: spread {spread[u]:.3e}"))
-    elif cls.verdict != VERDICT_NOT_PDR:
-        violations.append(Violation("dichotomy", f"graph with a non-PDR vertex classified {cls.verdict}"))
-
     return cls.verdict, all_pdr

@@ -18,6 +18,10 @@ from pdrkit.cli import main
 # record holds a real number, so the hash is the same on every platform.
 ENUMERATE_5_SHA256 = "b30efa653b463f07505e917f5070424051dddf03fa00a02b9982ba45acc32f52"
 
+# sha256 of the stdout of `pdrkit verify --enumerate 6 --per-graph --jobs 2`.
+# As at n = 5, no record holds a real number.
+ENUMERATE_6_SHA256 = "040860b6533cd3a520b957bf3daaedb36540676ea30c1a73b6177be7cdb38fbc"
+
 # sha256 of the stdout of `pdrkit analyze G`, concatenated over every
 # connected graph G with n <= 5 in enumeration order. It pins the per-vertex
 # witness and quotient fields, which the verify hash does not cover. Reals
@@ -252,6 +256,12 @@ def test_verify_enumerate_5_golden(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == ENUMERATE_5_SHA256
 
 
+def test_verify_enumerate_6_golden(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--enumerate", "6", "--per-graph", "--jobs", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == ENUMERATE_6_SHA256
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_corpus_survives_disconnected_graph(capsys, tmp_path, jobs):
     corpus = tmp_path / "mixed.g6"
@@ -367,6 +377,13 @@ def test_exit_code_corpus_parse_error(capsys, tmp_path):
 def test_exit_code_bad_named(capsys):
     code, _, _ = run_cli(capsys, "analyze", "--named", "moebius")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["path:x", "cycle:5,", "complete_bipartite:2,3.5"])
+def test_non_integer_named_parameter_names_the_spec(capsys, spec):
+    code, out, err = run_cli(capsys, "analyze", "--named", spec)
+    assert (code, out) == (2, "")
+    assert err == f"input error: named spec '{spec}': parameters must be integers\n"
 
 
 def test_exit_code_unsupported_size(capsys):

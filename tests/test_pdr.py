@@ -505,21 +505,28 @@ def test_transform_star_leaf():
 
 def test_transform_rejects_nonconstant_cells():
     # The transform assumes the Perron vector constant on every distance
-    # cell; classify checks that on each part before it compares. No graph
+    # cell; classify checks that on each part before it compares: on the
+    # whole vertex set of a regular graph, and on each part of a biregular
+    # one, where it alone bounds the spread over a neighbourhood. No graph
     # this small breaks it, so doctor the decomposition.
-    g = generate_named("cycle", 4)
-    dec = decompose(g)
-    reports = [is_pdr_around(g, dec, u) for u in range(g.n)]
-    skew = dec.perron.copy()
-    skew[1] *= 1.5
-    doctored = type(dec)(
-        eigenvalues=dec.eigenvalues,
-        multiplicities=dec.multiplicities,
-        idempotents=dec.idempotents,
-        perron=skew,
+    cases = (
+        (("cycle", 4), 1, "Perron vector is not constant"),
+        (("complete_bipartite", 2, 3), 0, "not constant on part 0"),  # vertex 0 lies in part 0
     )
-    with pytest.raises(InternalCheckError, match="Perron vector is not constant"):
-        classify(g, dec=doctored, reports=reports)
+    for spec, vertex, where in cases:
+        g = generate_named(*spec)
+        dec = decompose(g)
+        reports = [is_pdr_around(g, dec, u) for u in range(g.n)]
+        skew = dec.perron.copy()
+        skew[vertex] *= 1.5
+        doctored = type(dec)(
+            eigenvalues=dec.eigenvalues,
+            multiplicities=dec.multiplicities,
+            idempotents=dec.idempotents,
+            perron=skew,
+        )
+        with pytest.raises(InternalCheckError, match=where):
+            classify(g, dec=doctored, reports=reports)
 
 
 # --- whole-graph suite -----------------------------------------------------------

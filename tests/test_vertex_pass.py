@@ -288,9 +288,9 @@ def test_blocks_stay_under_the_entry_budget(monkeypatch):
         chunks.append((R, V, per_row, [(s.start, s.stop) for s in out]))
         return out
 
-    def record_partition(adjacency, alpha, labels, eps):
-        partition.append((len(adjacency), *labels.shape, int(labels.max()) + 1))
-        return partition_chunk(adjacency, alpha, labels, eps)
+    def record_partition(adjacency, alpha, labels, eps, m):
+        partition.append((len(adjacency), *labels.shape, m))
+        return partition_chunk(adjacency, alpha, labels, eps, m)
 
     monkeypatch.setattr(pdr, "_row_chunks", record_chunks)
     monkeypatch.setattr(pdr, "_partition_chunk", record_partition)
