@@ -33,20 +33,19 @@ from .graph_core import (
 from .spectral import (
     DEFAULT_TOL,
     LocalSpectrum,
-    NumericalError,
     SpectralDecomposition,
     ToleranceConfig,
     _SpectralStack,
     _decompose_stack,
     _local_measures,
     _power_stack,
+    _row_chunks,
     adjacency_powers,
     decompose,
 )
 from .predistance import (
     _PredistanceBlock,
     _predistance_block,
-    _row_chunks,
     _run_recurrence,
 )
 
@@ -355,32 +354,13 @@ def pseudo_regular_check(
 
 
 @dataclass(frozen=True, eq=False)
-class _GraphStack:
-    """B connected graphs of one order n, with their decompositions, as stacked arrays.
-
-    ``adjacency`` holds the boolean adjacency matrices and ``distances``
-    the hop distances.
-    """
-
-    adjacency: np.ndarray
-    distances: np.ndarray
-    spectra: _SpectralStack
-
-    @classmethod
-    def of(cls, g: Graph, dec: SpectralDecomposition) -> "_GraphStack":
-        """The one-graph stack."""
-        return cls(g.adjacency[None], g.distances[None], _SpectralStack.of(dec))
-
-
-@dataclass(frozen=True, eq=False)
 class _VertexRows:
     """Both characterizations at a block of (graph, vertex) rows, as arrays.
 
     Row r is vertex ``vertices[r]`` of graph ``graphs[r]`` of a stack.
     ``mults``, ``support`` and ``sizes`` are the rows' local measures, as
-    :func:`~pdrkit.spectral._local_measures` builds them. ``local_errors``
-    and ``family_errors`` hold each row's numerical error from its local
-    multiplicities and from its predistance family.
+    :func:`~pdrkit.spectral._local_measures` builds them. ``errors[r]`` is
+    the row's numerical error, or None, as :func:`_vertex_block` decides it.
     ``violations[r]`` lists the row's violations in the order
     :func:`verify_graph` reports them (empty outside it), and ``flagged[r]``
     is set when the row has a violation or an error.
@@ -395,21 +375,21 @@ class _VertexRows:
     extremal: np.ndarray
     via_polynomials: np.ndarray
     partition: _PartitionRows
-    local_errors: list[Exception | None]
-    family_errors: list[Exception | None]
+    errors: list[Exception | None]
     violations: dict[int, list[Violation]]
     flagged: np.ndarray
 
     def reports(
         self, rows: slice, dec: SpectralDecomposition, violations: list[Violation] | None
-    ) -> list[PdrVertexReport | None]:
+    ) -> list[PdrVertexReport] | None:
         """The reports of a slice of rows, all of one graph with decomposition ``dec``.
 
         Without ``violations`` this is :func:`is_pdr_around` at each row in
         turn: the first row in order with a numerical error or a
         disagreement raises it. With ``violations`` each row's violations
-        are appended, a disagreement gives a None report, and a numerical
-        error at a row is raised after the violations of the rows before it.
+        are appended in order, up to the first row with a numerical error,
+        which ends them with a ``numerical`` violation; a graph with an
+        error or a disagreement gets None.
         """
         at = np.arange(*rows.indices(len(self.vertices)))
         passing = self.partition.passing[rows]
@@ -418,16 +398,17 @@ class _VertexRows:
         # Each array's Python values are read once for all the rows.
         columns = (at, passing, self.vertices[rows], self.via_polynomials[rows], self.extremal[rows], self.ecc[rows])
         fields = zip(*(c.tolist() for c in (*columns, self.sizes[rows])))
-        reports: list[PdrVertexReport | None] = []
+        reports: list[PdrVertexReport] = []
+        agree = True
         for (r, via_partition, u, via_polynomials, extremal, ecc, size), mults, support in zip(
             fields, self.mults[rows, : len(dec.eigenvalues)], self.support[rows]
         ):
-            if self.local_errors[r] is not None:
-                raise self.local_errors[r]
-            # Outside verify_graph a family's error counts only at an extremal
-            # vertex, the only kind at which is_pdr_around needs the family.
-            if self.family_errors[r] is not None and (violations is not None or extremal):
-                raise self.family_errors[r]
+            error = self.errors[r]
+            if error is not None:
+                if violations is None:
+                    raise error
+                violations.append(Violation("numerical", str(error)))
+                return None
             if violations is not None:
                 violations += self.violations.get(r, [])
             quotient = next(quotients) if via_partition else None
@@ -435,7 +416,7 @@ class _VertexRows:
             if via_partition != via_polynomials:
                 if violations is None:
                     raise InternalCheckError(_disagreement(u, via_partition))
-                reports.append(None)
+                agree = False
                 continue
             reports.append(
                 PdrVertexReport(
@@ -450,7 +431,7 @@ class _VertexRows:
                     witness=witness,
                 )
             )
-        return reports
+        return reports if agree else None
 
 
 def _disagreement(u: int, via_partition: bool) -> str:
@@ -473,8 +454,7 @@ def is_pdr_around(
     pass that :func:`classify` runs.
     """
     distances_from(g, u)  # validates u and connectivity
-    rows = _vertex_block(_GraphStack.of(g, dec), np.array([u]), tol)
-    (report,) = rows.reports(slice(None), dec, None)
+    (report,) = _vertex_pass(g, dec, tol, vertices=np.array([u]))
     return report
 
 
@@ -494,38 +474,52 @@ def _vertex_pass(
     dec: SpectralDecomposition,
     tol: ToleranceConfig,
     violations: list[Violation] | None = None,
-) -> list[PdrVertexReport | None]:
-    """Both characterizations at every vertex of one graph.
+    vertices: np.ndarray | None = None,
+) -> list[PdrVertexReport] | None:
+    """Both characterizations at every vertex of one graph, or at the given ``vertices``.
 
     The reports of :meth:`_VertexRows.reports`: without ``violations`` as
     :func:`is_pdr_around` gives them, with ``violations`` as
     :func:`verify_graph` needs them.
     """
-    rows = _vertex_block(_GraphStack.of(g, dec), np.arange(g.n), tol, violations is not None)
+    vertices = np.arange(g.n) if vertices is None else vertices
+    spectra = _SpectralStack.of(dec)
+    rows = _vertex_block(g.adjacency[None], g.distances[None], spectra, vertices, tol, violations is not None)
     return rows.reports(slice(None), dec, violations)
 
 
-def _vertex_block(stack: _GraphStack, vertices: np.ndarray, tol: ToleranceConfig, verify: bool = False) -> _VertexRows:
+def _vertex_block(
+    adjacency: np.ndarray,
+    distances: np.ndarray,
+    spectra: _SpectralStack,
+    vertices: np.ndarray,
+    tol: ToleranceConfig,
+    verify: bool = False,
+) -> _VertexRows:
     """Both characterizations at every listed vertex of every graph of a stack.
 
-    Row r is vertex ``vertices[r % V]`` of graph r // V, for
-    V = len(vertices). The loops over degree, Lanczos and the recurrence on
-    unit columns, run once over all rows; the partition check and the
-    predistance contract run in row chunks. With ``verify`` every row also
+    The stack holds B connected graphs of one order n: their boolean
+    adjacency matrices, hop distances and decompositions. Row r is vertex
+    ``vertices[r % V]`` of graph r // V, for V = len(vertices). The loops
+    over degree, Lanczos and the recurrence on unit columns, run once over
+    all rows; the partition check and the predistance contract run in row
+    chunks. A row's error is that of its local multiplicities, else that of
+    its predistance family, which counts at every row with ``verify`` and
+    otherwise only at an extremal row, the only kind at which
+    :func:`is_pdr_around` needs the family. With ``verify`` every row also
     gets its predistance contract checked and its violations listed: the
     two characterizations must agree, and where both hold the quotient
     must pass the sum rule and match the recurrence.
     """
-    spectra = stack.spectra
-    adjacency, alpha = stack.adjacency, spectra.perron
+    alpha = spectra.perron
     graphs, vertices = np.repeat(np.arange(len(adjacency)), len(vertices)), np.tile(vertices, len(adjacency))
     R = len(vertices)
     lam0 = spectra.eigenvalues[graphs, 0]
-    alpha_u = spectra.perron[graphs, vertices]
+    alpha_u = alpha[graphs, vertices]
     mults, support, weights, sizes, local_errors = _local_measures(spectra, graphs, vertices, tol)
     block = _predistance_block(vertices, support, weights, sizes, alpha_u)
 
-    dist = stack.distances[graphs, vertices]
+    dist = distances[graphs, vertices]
     ecc = dist.max(axis=1)
     eps = tol.scaled("eps_pdr", lam0)
     extremal = ecc == block.sizes - 1
@@ -541,11 +535,14 @@ def _vertex_block(stack: _GraphStack, vertices: np.ndarray, tol: ToleranceConfig
 
     violations: dict[int, list[Violation]] = {}
     if verify:
-        degree = stack.adjacency[graphs, vertices].sum(axis=1)
+        degree = adjacency[graphs, vertices].sum(axis=1)
         violations = _contract_violations(block, lam0, alpha_u**2, degree, tol.eps_orth)
         recurrence_levels = block.level_triples() if via_polynomials.any() else None
+    errors = [
+        local or (family if verify or at_extremal else None)
+        for local, family, at_extremal in zip(local_errors, block.errors, extremal.tolist())
+    ]
     # The families' values are done with: the partition check runs without them.
-    family_errors = block.errors
     del block
     part = _partition_rows(adjacency, alpha, dist, eps)
     if verify:
@@ -577,7 +574,7 @@ def _vertex_block(stack: _GraphStack, vertices: np.ndarray, tol: ToleranceConfig
 
     flagged = np.zeros(R, dtype=bool)
     flagged[list(violations)] = True
-    flagged |= np.array([a is not None or b is not None for a, b in zip(local_errors, family_errors)])
+    flagged |= np.array([e is not None for e in errors])
     return _VertexRows(
         graphs=graphs,
         vertices=vertices,
@@ -588,8 +585,7 @@ def _vertex_block(stack: _GraphStack, vertices: np.ndarray, tol: ToleranceConfig
         extremal=extremal,
         via_polynomials=via_polynomials,
         partition=part,
-        local_errors=local_errors,
-        family_errors=family_errors,
+        errors=errors,
         violations=violations,
         flagged=flagged,
     )
@@ -1040,13 +1036,12 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
         return results
     if len(good) < len(graphs):
         adjacency, distances, spectra = adjacency[good], distances[good], spectra.take(good)
-    stack = _GraphStack(adjacency, distances, spectra)
-    powers, table = _spectral_identities(stack, tol, [found[b] for b in good.tolist()])
+    powers, table = _spectral_identities(adjacency, spectra, tol, [found[b] for b in good.tolist()])
 
     # The vertex pass over every (graph, vertex) row; a graph leaves the
     # stack when a row of it is flagged or when every row passes.
     n = adjacency.shape[1]
-    rows = _vertex_block(stack, np.arange(n), tol, verify=True)
+    rows = _vertex_block(adjacency, distances, spectra, np.arange(n), tol, verify=True)
     flagged, failing = np.zeros((2, len(good)), dtype=bool)
     flagged[rows.graphs[rows.flagged]] = True
     failing[rows.graphs[~rows.partition.passing]] = True
@@ -1055,19 +1050,17 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
         if flagged[j] or not failing[j]:
             g = graphs[b]
             _cache_distances(g, distances[j])
-            dec = stack.spectra.decomposition(j)
-            try:
-                reports = rows.reports(slice(j * n, (j + 1) * n), dec, found[b])
+            dec = spectra.decomposition(j)
+            reports = rows.reports(slice(j * n, (j + 1) * n), dec, found[b])
+            verdict, all_pdr = None, False
+            if reports is not None:
                 verdict, all_pdr = _pdr_suite(g, dec, reports, [p[j] for p in powers], table[j], tol, found[b])
-            except NumericalError as exc:
-                found[b].append(Violation("numerical", str(exc)))
-                verdict, all_pdr = None, False
         results[b] = GraphCheckResult(names[b], verdict, all_pdr, tuple(found[b]))
     return results
 
 
 def _spectral_identities(
-    stack: _GraphStack, tol: ToleranceConfig, found: list[list[Violation]]
+    adjacency: np.ndarray, spectra: _SpectralStack, tol: ToleranceConfig, found: list[list[Violation]]
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The whole-graph identities of every graph of a stack; graph j's violations go to ``found[j]``.
 
@@ -1075,8 +1068,7 @@ def _spectral_identities(
     spectral closed-walk table one length further, as stacks, for the
     adjacent-pair walk formulas.
     """
-    spectra = stack.spectra
-    B, n, _ = stack.adjacency.shape
+    B, n, _ = adjacency.shape
     lam0 = spectra.eigenvalues[:, 0]
     alpha = spectra.perron
     # Idempotent algebra, first: its temporaries are the largest arrays of the check.
@@ -1085,18 +1077,18 @@ def _spectral_identities(
         [
             np.abs(np.einsum("bkij,bkjl->bkil", E, E) - E).max(axis=(1, 2, 3)),
             np.abs(E.sum(axis=1) - np.eye(n)).max(axis=(1, 2)),
-            np.abs(stack.adjacency[:, None] @ E - spectra.eigenvalues[:, :, None, None] * E).max(axis=(1, 2, 3)),
+            np.abs(adjacency[:, None] @ E - spectra.eigenvalues[:, :, None, None] * E).max(axis=(1, 2, 3)),
         ]
     )
     # Local multiplicities of one eigenvalue sum to its global multiplicity.
     mults = spectra.local_multiplicities()
     trace_res = np.abs(mults.sum(axis=1) - spectra.multiplicities).max(axis=1)
     # The Perron-weighted average degree is the spectral radius at every vertex.
-    wdeg_res = np.abs((stack.adjacency @ alpha[:, :, None])[:, :, 0] / alpha - lam0[:, None]).max(axis=1)
+    wdeg_res = np.abs((adjacency @ alpha[:, :, None])[:, :, 0] / alpha - lam0[:, None]).max(axis=1)
 
     # Spectral walk identity on the diagonal, exact integer side vs spectral side.
     # The adjacent-pair walk formulas read the table one length further.
-    powers = _power_stack(stack.adjacency, _WALK_CHECK_MAX_LENGTH)
+    powers = _power_stack(adjacency, _WALK_CHECK_MAX_LENGTH)
     table = _closed_walk_table(spectra.eigenvalues, mults, _WALK_CHECK_MAX_LENGTH + 1)
     lengths = np.arange(_WALK_CHECK_MAX_LENGTH + 1)
     closed = np.stack([np.diagonal(p, axis1=1, axis2=2) for p in powers], axis=2)
@@ -1120,7 +1112,7 @@ def _spectral_identities(
 def _pdr_suite(
     g: Graph,
     dec: SpectralDecomposition,
-    reports: list[PdrVertexReport | None],
+    reports: list[PdrVertexReport],
     powers: list[np.ndarray],
     table: np.ndarray,
     tol: ToleranceConfig,
@@ -1133,8 +1125,6 @@ def _pdr_suite(
     violation. An all-PDR graph then gets its adjacent-pair walk formulas
     checked.
     """
-    if any(r is None for r in reports):
-        return None, False
     all_pdr = all(r.is_pdr for r in reports)
     try:
         cls = classify(g, tol, dec=dec, reports=reports)

@@ -17,17 +17,11 @@ from typing import Iterator
 import numpy as np
 
 from .graph_core import Graph
-from .spectral import LocalSpectrum, NumericalError
+from .spectral import LocalSpectrum, NumericalError, _row_chunks
 
 # Relative squared-norm floor below which the support points are treated as
 # numerically coincident.
 _RANK_FLOOR = 1e-20
-
-# Reductions over many rows, here and in the vertex pass, take the rows in
-# the chunks of _row_chunks, which keep each temporary within this many
-# float64 entries (a row whose own temporary exceeds it is a chunk alone);
-# every n <= 6 graph fits one chunk.
-_BLOCK_ENTRIES = 2**13
 
 
 class IllConditionedMeasureError(NumericalError):
@@ -62,20 +56,6 @@ class PredistanceSystem:
         prev, same, nxt = np.array(self.recurrence).T[:, None, :]
         runs = _run_recurrence(unit[:, None], np.array(self.values_at_radius[:1]), prev, same, nxt, times_x)
         return (col[:, 0] for col in runs)
-
-
-def _row_chunks(R: int, V: int, per_row: int) -> list[slice]:
-    """Consecutive slices of R rows that come in runs of V per graph, where
-    the largest temporary of a row holds ``per_row`` float64 entries.
-
-    A slice holds at most max(1, _BLOCK_ENTRIES // per_row) rows: whole runs
-    while a run fits, else consecutive rows of one run.
-    """
-    size = max(1, _BLOCK_ENTRIES // per_row)
-    if size >= V:
-        step = size // V * V
-        return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
-    return [slice(lo, min(run + V, lo + size)) for run in range(0, R, V) for lo in range(run, run + V, size)]
 
 
 def _run_recurrence(

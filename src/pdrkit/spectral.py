@@ -16,9 +16,11 @@ import numpy as np
 
 from .graph_core import Graph, distances_from
 
-# _decompose_stack assembles idempotents in blocks of at most this many
-# float64 entries, so that its temporaries stay small beside the result.
-_STACK_BLOCK_ENTRIES = 2**11
+# Reductions over many rows, from the decomposition's groups to the vertex
+# pass, take the rows in the chunks of _row_chunks, which keep each
+# temporary within this many float64 entries (a row whose own temporary
+# exceeds it is a chunk alone); every n <= 6 graph fits one chunk.
+_BLOCK_ENTRIES = 2**13
 
 
 class NumericalError(RuntimeError):
@@ -27,6 +29,20 @@ class NumericalError(RuntimeError):
 
 class GroupingAmbiguityError(NumericalError):
     """An eigenvalue gap sits too close to the grouping threshold to decide."""
+
+
+def _row_chunks(R: int, V: int, per_row: int) -> list[slice]:
+    """Consecutive slices of R rows that come in runs of V per graph, where
+    the largest temporary of a row holds ``per_row`` float64 entries.
+
+    A slice holds at most max(1, _BLOCK_ENTRIES // per_row) rows: whole runs
+    while a run fits, else consecutive rows of one run.
+    """
+    size = max(1, _BLOCK_ENTRIES // per_row)
+    if size >= V:
+        step = size // V * V
+        return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
+    return [slice(lo, min(run + V, lo + size)) for run in range(0, R, V) for lo in range(run, run + V, size)]
 
 
 @dataclass(frozen=True)
@@ -245,17 +261,18 @@ def _decompose_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> _SpectralSt
     starts = np.zeros((B, k), dtype=np.int64)
     starts[present] = np.flatnonzero(np.diff(flat, prepend=-1)) % n
 
-    # Groups of one size are handled together, a block at a time: one
-    # stacked mean and one stacked product per block.
+    # Groups of one size are handled together, a chunk of _row_chunks at a
+    # time: one stacked mean and one stacked product per chunk. A group's
+    # eigenvector block, product and symmetrized product count as 4 n^2
+    # entries, which keeps a chunk's temporaries small beside the result.
     eigenvalues = np.zeros((B, k))
     idempotents = np.zeros((B, k, n, n))
     graph, group = np.nonzero(present)
     size = counts[graph, group]
-    block = max(1, _STACK_BLOCK_ENTRIES // n**2)
     for m in np.flatnonzero(np.bincount(size)).tolist():  # the group sizes present, in order
         pick = np.flatnonzero(size == m)
-        for lo in range(0, len(pick), block):
-            b, g = graph[pick[lo : lo + block]], group[pick[lo : lo + block]]
+        for rows in _row_chunks(len(pick), 1, 4 * n * n):
+            b, g = graph[pick[rows]], group[pick[rows]]
             members = starts[b, g][:, None] + np.arange(m)
             eigenvalues[b, g] = np.mean(evals[b[:, None], members], axis=1)
             V = vecs[b[:, None, None], np.arange(n)[:, None], members[:, None, :]]

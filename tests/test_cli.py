@@ -446,6 +446,16 @@ def test_verify_never_starts_more_workers_than_graphs(capsys, monkeypatch, argv,
     assert (code, out) == run_cli(capsys, "verify", *argv[:2], "--per-graph")[:2]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("n", ["0", "8"])
+def test_verify_enumerate_out_of_range_exits_2_before_any_worker(capsys, monkeypatch, n, jobs):
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(pdrkit.cli, "ProcessPoolExecutor", RecordingExecutor)
+    code, out, err = run_cli(capsys, "verify", "--enumerate", n, "--jobs", jobs)
+    assert (code, out) == (2, "") and "1 <= n <= 7" in err
+    assert RecordingExecutor.sizes == []
+
+
 def test_connected_count_sizes_the_enumeration_without_listing_it():
     from pdrkit.cli import _connected_count
 

@@ -35,7 +35,7 @@ from pdrkit import (
     serialize_graph6,
     verify_graph,
 )
-from pdrkit import pdr, predistance
+from pdrkit import pdr, spectral
 from pdrkit.spectral import _SpectralStack
 from test_pdr import reference_partition_check
 
@@ -301,9 +301,9 @@ def test_blocks_stay_under_the_entry_budget(monkeypatch):
     assert (R, V, nm) == (40, 40, 40 * 21) and part == [(0, 9), (9, 18), (18, 27), (27, 36), (36, 40)]
     assert (R_contract, one) == (40, 1) and kk == k * k and 1 < k <= 40
     assert [lo for lo, _ in contract] == [0] + [hi for _, hi in contract[:-1]] and contract[-1][1] == 40
-    assert all((hi - lo) * k * k <= predistance._BLOCK_ENTRIES for lo, hi in contract)
+    assert all((hi - lo) * k * k <= spectral._BLOCK_ENTRIES for lo, hi in contract)
     assert [rows[:3] for rows in partition] == [(1, 9, 40)] * 4 + [(1, 4, 40)]
-    assert all(rows * n * m <= predistance._BLOCK_ENTRIES for _, rows, n, m in partition)
+    assert all(rows * n * m <= spectral._BLOCK_ENTRIES for _, rows, n, m in partition)
 
     # A graph past the budget's reach splits a run; a stack of small graphs
     # takes whole graphs per chunk.
@@ -322,10 +322,10 @@ def test_blocks_stay_under_the_entry_budget(monkeypatch):
     dec = decompose(g)
     reports = pdr._vertex_pass(g, dec, DEFAULT_TOL, [])
     assert [c[2:] for c in chunks[1:]] == [(30 * 2, [(0, 30)])] and partition == [(1, 30, 30, 2)]
-    assert all(rows * n * m <= predistance._BLOCK_ENTRIES for _, rows, n, m in partition)
+    assert all(rows * n * m <= spectral._BLOCK_ENTRIES for _, rows, n, m in partition)
     chunks.clear()
     assert classify(g, dec=dec, reports=reports).verdict == "distance_regular"
-    assert chunks == [(30, 30, 30 * 4, [(0, 30)])] and 30 * 30 * 4 <= predistance._BLOCK_ENTRIES
+    assert chunks == [(30, 30, 30 * 4, [(0, 30)])] and 30 * 30 * 4 <= spectral._BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("case", ["verify_graph cycle:40", "_vertex_pass path:40", "verify_graphs n=6 stack"])
@@ -429,8 +429,9 @@ def test_rank_loss_names_the_lowest_vertex(monkeypatch):
     with pytest.raises(IllConditionedMeasureError) as loop_error:
         reference_loop(g, dec, DEFAULT_TOL, [])
     assert str(loop_error.value) == want
-    with pytest.raises(IllConditionedMeasureError, match=want):
-        pdr._vertex_pass(g, dec, DEFAULT_TOL, [])
+    got = []
+    assert pdr._vertex_pass(g, dec, DEFAULT_TOL, got) is None
+    assert got[-1] == Violation("numerical", want)
 
     monkeypatch.setattr(pdr, "_decompose_stack", lambda adjacency, tol: _SpectralStack.of(dec))
     result = verify_graph(g)
@@ -446,10 +447,38 @@ def test_numerical_error_comes_after_earlier_vertices_violations():
     dec = doctored_decomposition(g, [2.0, 0.0, -2.0], [[0.25, 0.5, 0.25], [0.5, 0.6, -0.1], [0.25, 0.5, 0.25]])
     tol = ToleranceConfig(eps_orth=-1.0)  # every contract residual fails
     got, want = [], []
-    with pytest.raises(NumericalError, match="negative local multiplicity beyond clamp at vertex 1"):
-        pdr._vertex_pass(g, dec, tol, got)
+    assert pdr._vertex_pass(g, dec, tol, got) is None
     with pytest.raises(NumericalError, match="negative local multiplicity beyond clamp at vertex 1"):
         reference_loop(g, dec, tol, want)
     checks = ["pd_orthogonality", "pd_normalization", "pd_closed_forms", "pd_recurrence", "equivalence"]
-    assert [v.check for v in got] == [v.check for v in want] == checks
-    assert all("vertex 0" in v.detail for v in got)
+    assert [v.check for v in got[:-1]] == [v.check for v in want] == checks
+    assert all("vertex 0" in v.detail for v in got[:-1])
+    assert got[-1] == Violation("numerical", "negative local multiplicity beyond clamp at vertex 1")
+
+
+def test_verify_graph_ends_with_the_numerical_error_after_earlier_vertices_violations(monkeypatch):
+    # The doctored path:3 above, through verify_graph: the whole-graph
+    # identities fail on the doctored idempotents, then come vertex 0's
+    # violations, its disagreement among them, and then vertex 1's error.
+    g = generate_named("path", 3)
+    dec = doctored_decomposition(g, [2.0, 0.0, -2.0], [[0.25, 0.5, 0.25], [0.5, 0.6, -0.1], [0.25, 0.5, 0.25]])
+    monkeypatch.setattr(pdr, "_decompose_stack", lambda adjacency, tol: _SpectralStack.of(dec))
+    result = verify_graph(g, ToleranceConfig(eps_orth=-1.0))
+    assert result.violations == (
+        Violation("closed_walk_identity", "length 1: residual 1.200e+00 > 2.000e-06"),
+        Violation("closed_walk_identity", "length 2: residual 1.000e+00 > 4.000e-06"),
+        Violation("closed_walk_identity", "length 3: residual 4.800e+00 > 8.000e-06"),
+        Violation("closed_walk_identity", "length 4: residual 6.000e+00 > 1.600e-05"),
+        Violation("closed_walk_identity", "length 5: residual 1.920e+01 > 3.200e-05"),
+        Violation("closed_walk_identity", "length 6: residual 2.800e+01 > 6.400e-05"),
+        Violation("multiplicity_sum", "residual 6.000e-01"),
+        Violation("weighted_degree", "residual 1.000e+00"),
+        Violation("idempotents", "residual 1.000e+00"),
+        Violation("pd_orthogonality", "vertex 0: relative residual 1.388e-16"),
+        Violation("pd_normalization", "vertex 0: residual 3.331e-16"),
+        Violation("pd_closed_forms", "vertex 0: constant or degree-one polynomial off"),
+        Violation("pd_recurrence", "vertex 0, index 0: residual 0.000e+00"),
+        Violation("equivalence", "characterizations disagree at vertex 0: partition=True polynomials=False"),
+        Violation("numerical", "negative local multiplicity beyond clamp at vertex 1"),
+    )
+    assert result.verdict is None and not result.all_pdr
