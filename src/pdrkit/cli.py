@@ -10,10 +10,10 @@ invocations produce byte-identical output.
 Exit codes: 0 success, 1 corpus verification found violations, 2 parse or
 input error, 3 disconnected input, 4 numerical failure, 5 internal check
 failure (two characterizations that must agree disagreed: a bug, not bad
-input), 141 standard output closed before ``verify`` finished (as when
-piped into ``head``; 128 + SIGPIPE, what a shell reports for a filter
-killed by a broken pipe): the run stops quietly and its pending batches
-are cancelled.
+input), 141 standard output closed before the output was all written (as
+when piped into ``head``; 128 + SIGPIPE, what a shell reports for a filter
+killed by a broken pipe): any subcommand stops quietly, and ``verify``
+cancels its pending batches.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .spectral import (
 from .predistance import PredistanceSystem, build_predistance
 from .pdr import InternalCheckError, _stack_size, _vertex_pass, classify, verify_graphs
 
-# Exit code of verify when standard output is closed before it finishes.
+# Exit code of every subcommand when standard output is closed before it finishes.
 EXIT_BROKEN_PIPE = 141
 
 # The ToleranceConfig fields the CLI exposes, with their help texts. Field
@@ -427,24 +427,16 @@ def _cmd_verify(args) -> int:
     # The pool starts all its workers at once, so never more than there are graphs.
     jobs = min(args.jobs, total)
     items = ((batch, tol) for batch in _batches(chunks, total, max(1, jobs)))
-    try:
-        if jobs <= 1:
-            consume(map(_verify_batch, items))
-        else:
-            # Workers stream results back in input order, so output stays deterministic.
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                try:
-                    consume(_in_windows(pool, items, 4 * jobs))
-                except BrokenPipeError:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-    except BrokenPipeError:
-        # Nothing more can be written; point stdout at devnull so that the
-        # interpreter's last flush stays silent too.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+    if jobs <= 1:
+        consume(map(_verify_batch, items))
+    else:
+        # Workers stream results back in input order, so output stays deterministic.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            try:
+                consume(_in_windows(pool, items, 4 * jobs))
+            except BrokenPipeError:
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
     return 1 if counts["violations"] else 0
 
 
@@ -508,7 +500,16 @@ def main(argv=None) -> int:
         print("provide exactly one of a corpus file or --enumerate", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can be written; point stdout at devnull so that the
+        # interpreter's last flush stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Graph6Error as exc:
         print(f"graph6 parse error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ verdicts are re-verified against exact integer counting oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from typing import Sequence
@@ -289,14 +289,18 @@ def _partition_chunk(
     rows, and the witness and values of each failing row, as
     :class:`_PartitionRows` holds them. The flows of all rows come from one
     stacked matrix product, with each graph's matrix shared by its run,
+    their cell sums from one more product with the same cell indicators,
     and their spreads from one segment reduction over (row, cell).
     """
     R, n = labels.shape
     G = len(adjacency)
     cells = (labels[:, :, None] == np.arange(m)).astype(float).reshape(G, R // G, n, m)
     flows = ((adjacency * alpha[:, None, :])[:, None] @ cells).reshape(R, n, m)
-    del cells
     flows /= np.repeat(alpha, R // G, axis=0)[:, :, None]
+    cells = cells.reshape(R, n, m)
+    means = cells.transpose(0, 2, 1) @ flows  # (row, cell, target), each cell's members added in id order
+    means /= np.maximum(cells.sum(axis=1), 1)[:, :, None]
+    del cells
     key = (labels + m * np.arange(R)[:, None]).ravel()  # (row, cell) as one label
     spread = _cell_spread(flows.reshape(R * n, m), key, R * m)
     wide = spread.reshape(R, m * m) > eps[:, None]
@@ -313,15 +317,8 @@ def _partition_chunk(
     hi = np.where(inside, col, -np.inf).argmax(axis=1)
     first, last = np.minimum(lo, hi), np.maximum(lo, hi)
     pick = np.arange(len(rows))
-
-    # np.add.at adds repeated indices one at a time in index order, so each
-    # entry is bit for bit the mean over the cell's members taken in id
-    # order; np.add.reduceat adds in another order.
-    total = np.zeros((R, m, m))
-    np.add.at(total.reshape(R * m, m), key, flows.reshape(R * n, m))
-    total /= np.maximum(np.bincount(key, minlength=R * m), 1).reshape(R, m, 1)
     witness = np.stack([cell, target, first, last], axis=1)
-    return passing, total[passing], witness, np.stack([col[pick, first], col[pick, last]], axis=1)
+    return passing, means[passing], witness, np.stack([col[pick, first], col[pick, last]], axis=1)
 
 
 def pseudo_regular_check(
@@ -827,13 +824,6 @@ def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig =
     return WALK_NEITHER
 
 
-def _alpha_level(alpha: np.ndarray, vertices: np.ndarray, eps: float, what: str) -> float:
-    vals = alpha[vertices]
-    if float(vals.max() - vals.min()) > eps:
-        raise InternalCheckError(f"Perron vector is not constant on {what}")
-    return float(vals.mean())
-
-
 def classify(
     g: Graph,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -844,12 +834,16 @@ def classify(
     """Classify a connected graph via per-vertex pseudo-distance-regularity.
 
     Any vertex failing the test yields ``not_pdr`` with the lowest failing
-    vertex as witness. When every vertex passes, a regular graph must be
-    distance-regular and anything else must be bipartite biregular and
-    distance-biregular; both outcomes are re-verified with the exact
-    integer counting oracle, the Perron levels are checked against their
-    closed forms, and every vertex's pseudo-intersection numbers must be
-    the Perron-ratio transform of its integer array. Violations of those
+    vertex as witness. When every vertex passes, the graph must be
+    distance-regular or distance-biregular, which differ only in their P
+    parts: the whole vertex set when the graph is regular (P = 1), else the
+    two sides of a biregular bipartition (P = 2). Each part must have one
+    exact integer intersection array, the walk label must be
+    ``walk_regular`` for one part and ``walk_biregular`` for two, and each
+    part's Perron entries must be constant at the closed-form level
+    sqrt(n / (P * n_p)), for a part of n_p vertices. Every vertex's
+    pseudo-intersection numbers must then be the Perron-ratio transform of
+    its integer array, read with those part levels. Violations of those
     guarantees are internal errors, not verdicts.
     """
     if dec is None:
@@ -869,50 +863,45 @@ def classify(
         )
 
     degrees = g.degrees
-    alpha = dec.perron
-    arrays, counts = _intersection_arrays(g, np.arange(g.n))
-
-    # The Perron levels use eps_alpha unscaled: the Perron vector has squared
-    # norm n whatever the spectral radius, so its entries do not grow with it.
-    if degrees.min() == degrees.max():
-        if any(a is None for a in arrays) or len(set(arrays)) != 1:
-            raise InternalCheckError("all-PDR regular graph failed the integer distance-regularity oracle")
-        if wreg != WALK_REGULAR:
-            raise InternalCheckError("distance-regular graph is not walk-regular")
-        level = _alpha_level(alpha, np.arange(g.n), tol.eps_alpha, "a regular graph")
-        if abs(level - 1.0) > tol.eps_alpha:
-            raise InternalCheckError("regular graph must have unit Perron entries")
-        verdict, verdict_arrays, levels = VERDICT_DISTANCE_REGULAR, (arrays[0],), [level]
-    else:
+    side = np.zeros(g.n, dtype=np.int64)
+    if degrees.min() != degrees.max():
         bp = g.bipartition
         if bp is None or not bp.biregular:
             raise InternalCheckError("all-PDR non-regular graph must be bipartite biregular")
-        if wreg != WALK_BIREGULAR:
-            raise InternalCheckError("distance-biregular graph is not walk-biregular")
-        part_arrays = []
-        for pidx in (0, 1):
-            cand = {arrays[v] for v in np.flatnonzero(bp.side == pidx)}
-            if None in cand or len(cand) != 1:
-                raise InternalCheckError(f"part {pidx} of an all-PDR biregular graph has unequal intersection arrays")
-            arr = cand.pop()
-            part_arrays.append(IntersectionArray(b=arr.b, c=arr.c, a=arr.a, part=pidx))
-        d1, d2 = bp.part_degrees
-        levels = []
-        for pidx, (mine, other) in enumerate(((d1, d2), (d2, d1))):
-            level = _alpha_level(alpha, bp.side == pidx, tol.eps_alpha, f"part {pidx}")
-            expected = float(np.sqrt((d1 + d2) / (2.0 * other)))
-            if abs(level - expected) > tol.eps_alpha:
-                raise InternalCheckError(
-                    f"Perron level {level} on part {pidx} (degree {mine}) deviates from its closed form {expected}"
-                )
-            levels.append(level)
-        verdict, verdict_arrays = VERDICT_DISTANCE_BIREGULAR, tuple(part_arrays)
+        side = bp.side
+    P = int(side.max()) + 1
+    verdict, walk = ((VERDICT_DISTANCE_REGULAR, WALK_REGULAR), (VERDICT_DISTANCE_BIREGULAR, WALK_BIREGULAR))[P - 1]
+    arrays, counts = _intersection_arrays(g, np.arange(g.n))
+    members = [np.flatnonzero(side == p) for p in range(P)]
+    part_arrays = []
+    for p, part in enumerate(members):
+        found = {arrays[v] for v in part}
+        if None in found or len(found) != 1:
+            raise InternalCheckError(
+                f"all-PDR graph failed the integer distance-regularity oracle: unequal arrays on part {p}"
+            )
+        part_arrays.append(replace(found.pop(), part=None if P == 1 else p))
+    if wreg != walk:
+        raise InternalCheckError(f"{verdict.replace('_', '-')} graph is not {walk.replace('_', '-')}")
+    # The Perron levels use eps_alpha unscaled: the Perron vector has squared
+    # norm n whatever the spectral radius, so its entries do not grow with it.
+    # On a biregular graph n_p * delta_p = n_q * delta_q, so the closed form
+    # is sqrt((delta_p + delta_q) / (2 delta_q)).
+    levels = []
+    for p, part in enumerate(members):
+        alpha = dec.perron[part]
+        if float(alpha.max() - alpha.min()) > tol.eps_alpha:
+            raise InternalCheckError(f"Perron vector is not constant on part {p}")
+        level, expected = float(alpha.mean()), float(np.sqrt(g.n / (P * len(part))))
+        if abs(level - expected) > tol.eps_alpha:
+            raise InternalCheckError(
+                f"Perron level {level} on part {p} of {len(part)} vertices deviates from its closed form {expected}"
+            )
+        levels.append(level)
 
-    # The Perron vector is now known to be constant on each part, so on each
-    # distance cell; with unit ratios this also covers the regular case.
     vertices = np.array([r.vertex for r in reports])
     triples = [r.quotient.tridiagonal() for r in reports]
-    res = _transform_residuals(g, alpha, vertices, triples, counts[vertices])
+    res = _transform_residuals(np.array(levels), side[vertices], triples, counts[vertices])
     wide = res.max(axis=(1, 2)) > tol.scaled("eps_pdr", dec.spectral_radius)
     if wide.any():
         raise InternalCheckError(
@@ -921,7 +910,7 @@ def classify(
         )
     return Classification(
         verdict=verdict,
-        intersection_arrays=verdict_arrays,
+        intersection_arrays=tuple(part_arrays),
         alpha_levels=tuple(levels),
         witness=None,
         walk_regularity=wreg,
@@ -929,22 +918,22 @@ def classify(
 
 
 def _transform_residuals(
-    g: Graph,
-    alpha: np.ndarray,
-    vertices: np.ndarray,
+    levels: np.ndarray,
+    sides: np.ndarray,
     triples: Sequence[Sequence[tuple[float, float, float]]],
     counts: np.ndarray,
 ) -> np.ndarray:
     """Residuals between pseudo numbers and transformed integer counts, one operation for every vertex.
 
-    Row r belongs to vertices[r], with its quotient's level ``triples[r]``
-    and integer (down, stay, up) counts per level ``counts[r]``, zero past
-    its eccentricity. Entry (r, i) holds the (down, stay, up) residuals at
-    level i; boundary terms, and levels past the vertex's eccentricity, are
-    zero. Assumes the Perron entries are constant on each distance cell.
+    Row r belongs to a vertex on part ``sides[r]`` of the P = len(levels)
+    parts, with its quotient's level ``triples[r]`` and integer (down,
+    stay, up) counts per level ``counts[r]``, zero past its eccentricity.
+    Level i around the vertex lies on part (sides[r] + i) mod P, whose
+    constant Perron entry is ``levels`` of that part. Entry (r, i) holds the
+    (down, stay, up) residuals at level i; boundary terms, and levels past
+    the vertex's eccentricity, are zero.
     """
-    dist = g.distances[vertices]
-    R, width = len(vertices), counts.shape[1] + 1  # one zero level past the deepest
+    R, width = len(counts), counts.shape[1] + 1  # one zero level past the deepest
     pseudo, exact = np.zeros((2, R, width, 3))
     # Every report's triples in one assignment: entry j of row r is level j.
     sizes = np.fromiter(map(len, triples), dtype=np.int64, count=R)
@@ -952,10 +941,7 @@ def _transform_residuals(
     numbers = np.fromiter(chain.from_iterable(chain.from_iterable(triples)), dtype=float, count=3 * len(row))
     pseudo[row, np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = numbers.reshape(-1, 3)
     exact[:, :-1] = counts
-    key = (dist + width * np.arange(R)[:, None]).ravel()
-    members = np.bincount(key, minlength=R * width).reshape(R, width)
-    level_alpha = np.bincount(key, weights=np.broadcast_to(alpha, dist.shape).ravel(), minlength=R * width)
-    level_alpha = np.divide(level_alpha.reshape(R, width), members, out=np.ones((R, width)), where=members > 0)
+    level_alpha = levels[(sides[:, None] + np.arange(width)) % len(levels)]
     res = np.zeros((R, width, 3))
     res[:, :, 1] = np.abs(pseudo[:, :, 1] - exact[:, :, 1])
     res[:, 1:, 0] = np.abs(pseudo[:, 1:, 0] - level_alpha[:, :-1] / level_alpha[:, 1:] * exact[:, 1:, 0])

@@ -622,6 +622,26 @@ def test_verify_exits_quietly_when_stdout_closes(jobs):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--named", "petersen"], ["spectrum", "--named", "petersen", "--vertex", "0"]]
+)
+def test_single_graph_subcommands_exit_quietly_when_stdout_is_closed(argv):
+    # The read end is closed before the child starts, so its first write
+    # meets a pipe without a reader, however little it prints.
+    src = os.path.dirname(os.path.dirname(pdrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdrkit", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == pdrkit.cli.EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
+
+
 def test_render_rejects_non_finite():
     from pdrkit.cli import _render_json
 

@@ -456,7 +456,9 @@ def transform_residuals(g, dec, u):
     assert report.is_pdr
     arrays, counts = _intersection_arrays(g, np.array([u]))
     assert arrays[0] is not None
-    res = _transform_residuals(g, dec.perron, np.array([u]), [report.quotient.tridiagonal()], counts)
+    levels = np.array(classify(g, dec=dec).alpha_levels)  # one per part
+    sides = np.zeros(1, dtype=np.int64) if len(levels) == 1 else g.bipartition.side[[u]]
+    res = _transform_residuals(levels, sides, [report.quotient.tridiagonal()], counts)
     return res[0, : report.eccentricity + 1]
 
 
@@ -527,6 +529,61 @@ def test_transform_rejects_nonconstant_cells():
         )
         with pytest.raises(InternalCheckError, match=where):
             classify(g, dec=doctored, reports=reports)
+
+
+def subdivided_prism():
+    """The triangular prism with every edge subdivided: the prism's vertices
+    0..5 on part 0, the midpoint 6 + k of prism edge k on part 1."""
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    return Graph.from_edges(15, [e for k, (u, v) in enumerate(prism) for e in ((u, 6 + k), (6 + k, v))])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: generate_named("path", 4), "all-PDR non-regular graph must be bipartite biregular"),
+        (subdivided_prism, "integer distance-regularity oracle: unequal arrays on part 0"),
+    ],
+)
+def test_classify_rejects_all_pdr_reports_outside_the_theorem(build, message):
+    # Neither graph is pseudo-distance-regular at every vertex, so reports
+    # doctored to say it is must fail the theorem's outcome. The subdivided
+    # prism is bipartite (3, 2)-biregular but walk label `neither`: it fails
+    # at the arrays because they are checked before the walk label.
+    g = build()
+    dec = decompose(g)
+    assert classify(g, dec=dec).verdict == VERDICT_NOT_PDR
+    reports = [dataclasses.replace(is_pdr_around(g, dec, u), is_pdr=True) for u in range(g.n)]
+    with pytest.raises(InternalCheckError, match=message):
+        classify(g, dec=dec, reports=reports)
+
+
+def test_subdivided_prism_is_biregular_and_walk_neither():
+    g = subdivided_prism()
+    assert g.bipartition.part_degrees == (3, 2)
+    assert walk_regularity(g, decompose(g)) == WALK_NEITHER
+
+
+@pytest.mark.parametrize(
+    "spec, walk",
+    [
+        (("petersen",), "distance-regular graph is not walk-regular"),
+        (("complete_bipartite", 2, 3), "distance-biregular graph is not walk-biregular"),
+    ],
+)
+def test_classify_rejects_doctored_walk_label_and_perron_level(spec, walk):
+    # One idempotent's diagonal entry moved breaks the walk label; a Perron
+    # vector scaled by 1.01 stays constant on each part but leaves the
+    # closed form sqrt(n / (P * n_p)).
+    g = generate_named(*spec)
+    dec = decompose(g)
+    reports = [is_pdr_around(g, dec, u) for u in range(g.n)]
+    idempotents = dec.idempotents.copy()
+    idempotents[1, 0, 0] += 1e-3
+    with pytest.raises(InternalCheckError, match=walk):
+        classify(g, dec=dataclasses.replace(dec, idempotents=idempotents), reports=reports)
+    with pytest.raises(InternalCheckError, match=r"Perron level \S+ on part 0 .* deviates from its closed form"):
+        classify(g, dec=dataclasses.replace(dec, perron=1.01 * dec.perron), reports=reports)
 
 
 # --- whole-graph suite -----------------------------------------------------------
