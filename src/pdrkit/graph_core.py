@@ -105,9 +105,9 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
 
-    def adjacency_matrix(self, dtype=float) -> np.ndarray:
-        """The adjacency as a fresh, writable 0/1 matrix of `dtype`."""
-        return self.adjacency.astype(dtype)
+    def adjacency_matrix(self) -> np.ndarray:
+        """The adjacency as a fresh, writable 0/1 float matrix."""
+        return self.adjacency.astype(float)
 
     @cached_property
     def distances(self) -> np.ndarray:

@@ -359,8 +359,7 @@ class _VertexRows:
     :func:`~pdrkit.spectral._local_measures` builds them. ``errors[r]`` is
     the row's numerical error, or None, as :func:`_vertex_block` decides it.
     ``violations[r]`` lists the row's violations in the order
-    :func:`verify_graph` reports them (empty outside it), and ``flagged[r]``
-    is set when the row has a violation or an error.
+    :func:`verify_graph` reports them (empty outside it).
     """
 
     graphs: np.ndarray
@@ -374,7 +373,6 @@ class _VertexRows:
     partition: _PartitionRows
     errors: list[Exception | None]
     violations: dict[int, list[Violation]]
-    flagged: np.ndarray
 
     def reports(
         self, rows: slice, dec: SpectralDecomposition, violations: list[Violation] | None
@@ -510,7 +508,6 @@ def _vertex_block(
     """
     alpha = spectra.perron
     graphs, vertices = np.repeat(np.arange(len(adjacency)), len(vertices)), np.tile(vertices, len(adjacency))
-    R = len(vertices)
     lam0 = spectra.eigenvalues[graphs, 0]
     alpha_u = alpha[graphs, vertices]
     mults, support, weights, sizes, local_errors = _local_measures(spectra, graphs, vertices, tol)
@@ -569,9 +566,6 @@ def _vertex_block(
                 if found:
                     violations.setdefault(r, []).extend(found)
 
-    flagged = np.zeros(R, dtype=bool)
-    flagged[list(violations)] = True
-    flagged |= np.array([e is not None for e in errors])
     return _VertexRows(
         graphs=graphs,
         vertices=vertices,
@@ -584,7 +578,6 @@ def _vertex_block(
         partition=part,
         errors=errors,
         violations=violations,
-        flagged=flagged,
     )
 
 
@@ -976,11 +969,11 @@ def verify_graphs(graphs: Sequence[Graph], tol: ToleranceConfig = DEFAULT_TOL) -
     Graphs of one order n are checked together, in stacks of at most
     max(1, 2^16 // n^3) graphs: each stage is one set of array
     operations over a stack, and the rows of the vertex pass are its
-    (graph, vertex) pairs. Only graphs that pass the test at every vertex,
-    or that have a violation at one, leave the stack for the per-graph
-    classification and walk formulas. Raises
-    :class:`UnsupportedSizeError` past short graph6 (n > 62), before any
-    other work.
+    (graph, vertex) pairs. A graph with a violation or a numerical error at
+    a vertex leaves the stack for its rows' violations, and only a graph
+    that passes the test at every vertex goes on to :func:`classify` and
+    the walk formulas. Raises :class:`UnsupportedSizeError` past short
+    graph6 (n > 62), before any other work.
     """
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
@@ -1024,23 +1017,45 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
         adjacency, distances, spectra = adjacency[good], distances[good], spectra.take(good)
     powers, table = _spectral_identities(adjacency, spectra, tol, [found[b] for b in good.tolist()])
 
-    # The vertex pass over every (graph, vertex) row; a graph leaves the
-    # stack when a row of it is flagged or when every row passes.
+    # The vertex pass over every (graph, vertex) row. A graph leaves the
+    # stack for its rows' violations when a row of it has a violation or an
+    # error, and for classify and the walk formulas when every row passes;
+    # any other graph fails a vertex cleanly and is not_pdr as it stands.
     n = adjacency.shape[1]
     rows = _vertex_block(adjacency, distances, spectra, np.arange(n), tol, verify=True)
-    flagged, failing = np.zeros((2, len(good)), dtype=bool)
-    flagged[rows.graphs[rows.flagged]] = True
+    failing = np.zeros(len(good), dtype=bool)
     failing[rows.graphs[~rows.partition.passing]] = True
+    flagged = [*rows.violations, *(r for r, error in enumerate(rows.errors) if error is not None)]
+    leaving = ~failing
+    leaving[rows.graphs[flagged]] = True
     for j, b in enumerate(good.tolist()):
         verdict, all_pdr = VERDICT_NOT_PDR, False
-        if flagged[j] or not failing[j]:
-            g = graphs[b]
-            _cache_distances(g, distances[j])
+        if leaving[j]:
             dec = spectra.decomposition(j)
             reports = rows.reports(slice(j * n, (j + 1) * n), dec, found[b])
-            verdict, all_pdr = None, False
-            if reports is not None:
-                verdict, all_pdr = _pdr_suite(g, dec, reports, [p[j] for p in powers], table[j], tol, found[b])
+            if reports is None:
+                verdict = None
+            elif not failing[j]:
+                # Every vertex passed: classify checks the theorem's outcome
+                # against its integer oracles, and then come the adjacent-pair
+                # walk formulas, all edges per length, reported edge by edge.
+                g, verdict, all_pdr = graphs[b], None, True
+                _cache_distances(g, distances[j])
+                try:
+                    verdict = classify(g, tol, dec=dec, reports=reports).verdict
+                except InternalCheckError as exc:
+                    found[b].append(Violation("classification_internal", str(exc)))
+                else:
+                    us, vs = np.nonzero(np.triu(g.adjacency, 1))
+                    walks = [p[j] for p in powers]
+                    lengths = range(_WALK_CHECK_MAX_LENGTH + 1)
+                    worst = np.transpose(
+                        [np.maximum(*walk_formula_check(g, dec, us, vs, L, walks, table=table[j])) for L in lengths]
+                    )
+                    bounds = [tol.scaled("eps_walk", dec.spectral_radius, L) for L in lengths]
+                    for e, length in np.argwhere(worst > bounds):
+                        detail = f"edge ({us[e]}, {vs[e]}), length {length}: residual {worst[e, length]:.3e}"
+                        found[b].append(Violation("walk_formula", detail))
         results[b] = GraphCheckResult(names[b], verdict, all_pdr, tuple(found[b]))
     return results
 
@@ -1093,39 +1108,3 @@ def _spectral_identities(
         if idem_res[j] > tol.eps_num:
             found[j].append(Violation("idempotents", f"residual {idem_res[j]:.3e}"))
     return powers, table
-
-
-def _pdr_suite(
-    g: Graph,
-    dec: SpectralDecomposition,
-    reports: list[PdrVertexReport],
-    powers: list[np.ndarray],
-    table: np.ndarray,
-    tol: ToleranceConfig,
-    violations: list[Violation],
-) -> tuple[str | None, bool]:
-    """The checks of :func:`verify_graph` that follow the vertex pass; returns (verdict, all_pdr).
-
-    :func:`classify` checks the verdict: an all-PDR graph that fails its
-    integer oracles or its Perron levels is a ``classification_internal``
-    violation. An all-PDR graph then gets its adjacent-pair walk formulas
-    checked.
-    """
-    all_pdr = all(r.is_pdr for r in reports)
-    try:
-        cls = classify(g, tol, dec=dec, reports=reports)
-    except InternalCheckError as exc:
-        violations.append(Violation("classification_internal", str(exc)))
-        return None, all_pdr
-    if all_pdr:
-        # Adjacent-pair walk formulas, all edges per length, reported edge by edge.
-        lam0 = dec.spectral_radius
-        us, vs = np.nonzero(np.triu(g.adjacency, 1))
-        lengths = range(_WALK_CHECK_MAX_LENGTH + 1)
-        worst = np.transpose([np.maximum(*walk_formula_check(g, dec, us, vs, L, powers, table=table)) for L in lengths])
-        bounds = [tol.scaled("eps_walk", lam0, L) for L in lengths]
-        for e, length in np.argwhere(worst > bounds):
-            violations.append(
-                Violation("walk_formula", f"edge ({us[e]}, {vs[e]}), length {length}: residual {worst[e, length]:.3e}")
-            )
-    return cls.verdict, all_pdr

@@ -13,6 +13,7 @@ import pytest
 import pdrkit
 from pdrkit import InternalCheckError, enumerate_connected, generate_named, serialize_graph6
 from pdrkit.cli import main
+from test_vertex_pass import DOCTORED_PATH3_ERRORS, doctored_decomposition
 
 # sha256 of the stdout of `pdrkit verify --enumerate 5 --per-graph`. No
 # record holds a real number, so the hash is the same on every platform.
@@ -355,6 +356,19 @@ def test_exit_code_internal_check(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "--named", "petersen")
     assert code == 5 and out == ""
     assert err == "internal check error: characterizations disagree at vertex 0\n"
+
+
+@pytest.mark.parametrize(
+    "doctored, want_code, kind",
+    zip(DOCTORED_PATH3_ERRORS, (4, 5), ("numerical error", "internal check error")),
+    ids=["rank_loss", "disagreement"],
+)
+def test_analyze_exits_with_the_vertex_pass_error(capsys, monkeypatch, doctored, want_code, kind):
+    eigenvalues, mults, _, message = doctored
+    dec = doctored_decomposition(generate_named("path", 3), eigenvalues, mults)
+    monkeypatch.setattr(pdrkit.cli, "decompose", lambda g, tol: dec)
+    code, out, err = run_cli(capsys, "analyze", "--named", "path:3")
+    assert (code, out, err) == (want_code, "", f"{kind}: {message}\n")
 
 
 def test_exit_code_bad_vertex(capsys):

@@ -18,6 +18,7 @@ from pdrkit import (
     VERDICT_DISTANCE_BIREGULAR,
     VERDICT_DISTANCE_REGULAR,
     VERDICT_NOT_PDR,
+    Violation,
     WALK_BIREGULAR,
     WALK_NEITHER,
     WALK_REGULAR,
@@ -628,6 +629,42 @@ def test_verify_graph_tags_numerical_error_after_decompose(monkeypatch):
     r = verify_graph(generate_named("petersen"))
     assert r.verdict is None and not r.all_pdr
     assert [(v.check, v.detail) for v in r.violations] == [("numerical", "rank loss at vertex 0")]
+
+
+def test_verify_graph_tags_a_failed_classification_and_skips_the_walk_formulas(monkeypatch):
+    # Every vertex of petersen passes, so the graph is all-PDR whatever
+    # classify concludes; a walk label outside the theorem is an internal
+    # error, and the walk formulas, which presume the verdict, do not run.
+    from pdrkit import pdr
+
+    monkeypatch.setattr(pdr, "walk_regularity", lambda g, dec, tol=DEFAULT_TOL: WALK_NEITHER)
+    monkeypatch.setattr(pdr, "walk_formula_check", None)  # must not be reached
+    r = verify_graph(generate_named("petersen"))
+    assert r.verdict is None and r.all_pdr
+    assert r.violations == (Violation("classification_internal", "distance-regular graph is not walk-regular"),)
+
+
+@pytest.mark.parametrize(
+    "spec, verdict, calls",
+    [(("path", 4), VERDICT_NOT_PDR, 0), (("petersen",), VERDICT_DISTANCE_REGULAR, 1)],
+    ids=["path4", "petersen"],
+)
+def test_verify_graph_classifies_only_graphs_that_pass_at_every_vertex(monkeypatch, spec, verdict, calls):
+    # At a negative eps_orth every vertex has all four contract violations,
+    # so both graphs leave the stack for their rows' violations; path:4
+    # fails at vertex 1 and is not_pdr without classify, petersen still
+    # goes through it.
+    from pdrkit import pdr
+
+    called = []
+    real = pdr.classify
+    monkeypatch.setattr(pdr, "classify", lambda *args, **kwargs: called.append(1) or real(*args, **kwargs))
+    g = generate_named(*spec)
+    r = verify_graph(g, ToleranceConfig(eps_orth=-1.0))
+    assert (r.verdict, r.all_pdr, len(called)) == (verdict, verdict != VERDICT_NOT_PDR, calls)
+    tags = ["pd_orthogonality", "pd_normalization", "pd_closed_forms", "pd_recurrence"]
+    assert [v.check for v in r.violations] == tags * g.n
+    assert [int(v.detail.split()[1].rstrip(":,")) for v in r.violations] == [u for u in range(g.n) for _ in tags]
 
 
 @pytest.mark.parametrize(

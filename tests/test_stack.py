@@ -129,6 +129,26 @@ def test_mixed_stack_keeps_each_error_with_its_graph(monkeypatch):
     assert all(r.violations == () and r.verdict is not None for r in clean)
 
 
+def test_eigensolver_failure_stays_with_its_graph(monkeypatch):
+    # When the stacked eigensolver fails, each graph is solved alone: the
+    # graph whose own solve fails gets the tagged error, and the others of
+    # its stack get the results they get alone.
+    graphs = list(enumerate_connected(4))[:6]
+    want = [as_tuple(verify_graph(g)) for g in graphs]
+    chosen = graphs[2].adjacency_matrix()
+    eigh = np.linalg.eigh
+
+    def failing_eigh(a):
+        if a.ndim == 3 or np.array_equal(a, chosen):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    error = ("decompose", "eigensolver did not converge: Eigenvalues did not converge")
+    want[2] = (serialize_graph6(graphs[2]), None, False, (error,))
+    assert [as_tuple(r) for r in verify_graphs(graphs)] == want
+
+
 def test_verify_graphs_refuses_past_short_graph6_before_any_work(monkeypatch):
     monkeypatch.setattr(pdr, "_verify_stack", None)  # must not be reached
     with pytest.raises(UnsupportedSizeError):

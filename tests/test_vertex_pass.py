@@ -30,6 +30,7 @@ from pdrkit import (
     decompose,
     enumerate_connected,
     generate_named,
+    is_pdr_around,
     local_spectrum,
     parse_graph6,
     serialize_graph6,
@@ -417,6 +418,38 @@ def doctored_decomposition(g, eigenvalues, mults):
         idempotents=idempotents,
         perron=np.ones(g.n),
     )
+
+
+# Doctored path:3 spectra whose first failing row is vertex 0, with what
+# the vertex pass raises there outside verify: the rank loss of
+# test_rank_loss_names_the_lowest_vertex, and the disagreement of
+# test_numerical_error_comes_after_earlier_vertices_violations.
+DOCTORED_PATH3_ERRORS = [
+    (
+        [1.0 + 1e-12, 1.0, -2.0],
+        [[0.4, 0.3, 0.3], [0.5, 0.5, 0.0], [0.4, 0.3, 0.3]],
+        IllConditionedMeasureError,
+        "rank loss at degree 2: support points of vertex 0 are numerically coincident",
+    ),
+    (
+        [2.0, 0.0, -2.0],
+        [[0.25, 0.5, 0.25], [0.5, 0.6, -0.1], [0.25, 0.5, 0.25]],
+        InternalCheckError,
+        "characterizations disagree at vertex 0: partition=True polynomials=False",
+    ),
+]
+
+
+@pytest.mark.parametrize("eigenvalues, mults, error, message", DOCTORED_PATH3_ERRORS, ids=["rank_loss", "disagreement"])
+def test_entry_points_raise_the_first_rows_error(eigenvalues, mults, error, message):
+    # Outside verify the vertex pass raises the first row's numerical error
+    # or disagreement, through classify and is_pdr_around alike.
+    g = generate_named("path", 3)
+    dec = doctored_decomposition(g, eigenvalues, mults)
+    for call in (lambda: classify(g, dec=dec), lambda: is_pdr_around(g, dec, 0)):
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_rank_loss_names_the_lowest_vertex(monkeypatch):
