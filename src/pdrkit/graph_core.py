@@ -183,8 +183,8 @@ def _graph6_strings(codes: np.ndarray) -> list[str]:
 def _graph6_adjacency(codes: np.ndarray, n: int) -> np.ndarray:
     """(B, n, n) boolean stack of well-formed short graph6 byte rows of order n; padding bits are ignored."""
     rows, cols = _pair_order(n)
-    vals = codes[:, 1:].astype(np.int64) - 63
-    bits = ((vals[:, :, None] >> np.arange(5, -1, -1)) & 1).reshape(len(codes), -1)[:, : len(rows)].astype(bool)
+    # A byte's six payload bits are the low six of its eight, most significant first.
+    bits = np.unpackbits(codes[:, 1:, None] - 63, axis=2)[:, :, 2:].reshape(len(codes), -1)[:, : len(rows)]
     adj = np.zeros((len(codes), n, n), dtype=bool)
     adj[:, rows, cols] = bits
     adj[:, cols, rows] = bits
@@ -221,7 +221,8 @@ def parse_graph6(data: str | bytes) -> Graph:
             f"payload for n={n} needs {nbytes} bytes, got {len(raw) - 1}",
             min(len(raw), 1 + nbytes),
         )
-    return Graph.from_adjacency(_graph6_adjacency(codes[None], n)[0])
+    adj = _graph6_adjacency(codes[None], n)[0]
+    return Graph(n=n, adjacency=adj, edge_count=np.count_nonzero(adj) // 2)
 
 
 def _parse_graph6_batch(strings: list[str]) -> list[Graph]:
@@ -290,12 +291,13 @@ def _distance_stack(adjacency: np.ndarray) -> np.ndarray:
     B, n, _ = adjacency.shape
     A = adjacency.astype(float)
     dist = np.full((B, n, n), -1, dtype=np.int64)
-    seen = np.broadcast_to(np.eye(n, dtype=bool), (B, n, n)).copy()
-    frontier = seen
+    frontier = np.zeros((B, n, n), dtype=bool)
+    frontier.reshape(B, n * n)[:, :: n + 1] = True
+    seen = frontier.copy()
     d = 0
     while frontier.any():
         dist[frontier] = d
-        frontier = (frontier @ A > 0) & ~seen
+        frontier = (frontier @ A > 0) > seen  # reached and not seen before
         seen |= frontier
         d += 1
     dist.setflags(write=False)

@@ -97,12 +97,11 @@ class QuotientMatrix:
 def _band_levels(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-level (down, stay, up) of a (P, m, m) stack of quotients, as a (P, m, 3)
     array with zeros at the ends, and whether each quotient is tridiagonal."""
-    m = means.shape[1]
-    levels = np.zeros((len(means), m, 3))
+    P, m = means.shape[:2]
+    levels = np.zeros((P, m, 3))
+    flat = means.reshape(P, m * m)  # entry (i, j) at i * m + j: the band is three strides of m + 1
+    levels[:, 1:, 0], levels[:, :, 1], levels[:, :-1, 2] = flat[:, m :: m + 1], flat[:, :: m + 1], flat[:, 1 :: m + 1]
     level = np.arange(m)
-    levels[:, 1:, 0] = means[:, level[1:], level[:-1]]
-    levels[:, :, 1] = means[:, level, level]
-    levels[:, :-1, 2] = means[:, level[:-1], level[1:]]
     off_band = np.abs(level[:, None] - level) > 1
     return levels, ~(means[:, off_band] != 0).any(axis=1)
 
@@ -195,9 +194,11 @@ def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = Non
     the largest label); an empty cell reads zero. One segment reduction
     over the vertices sorted by cell.
     """
-    order = np.argsort(labels, kind="stable")
+    order = labels.argsort(kind="stable")
     ordered = labels[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    change = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    starts = change.nonzero()[0]
     block = values[order]
     present = np.maximum.reduceat(block, starts)
     present -= np.minimum.reduceat(block, starts)
@@ -207,16 +208,18 @@ def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = Non
     return spread
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _PartitionRows:
     """:func:`pseudo_regular_check` on a block of label rows, as arrays.
 
     ``passing[r]`` tells whether row r is pseudo-regular. Passing row
     ``passed[p]`` has quotient entry (i, j) in ``means[p, i, j]``, for i, j
-    below its ``cells``; failing row ``failing[f]`` has its witness in entry
-    f of ``witness`` (cell, target, vertex_a, vertex_b) and ``values``
-    (value_a, value_b). Objects are made only on request; ``means`` is
-    read-only, so that the quotients they hold can be views of it.
+    below its ``cells``; failing row ``failing[f]`` has its first wide pair
+    in ``cell[f]`` and ``target[f]``, the weighted counts of its vertices
+    into that target in ``column[f]``, and the cell's vertices marked in
+    ``inside[f]``: its witness is read from them on request. Objects are
+    made only on request; ``means`` is read-only, so that the quotients
+    they hold can be views of it.
     """
 
     passing: np.ndarray
@@ -224,8 +227,10 @@ class _PartitionRows:
     passed: np.ndarray
     means: np.ndarray
     failing: np.ndarray
-    witness: np.ndarray
-    values: np.ndarray
+    cell: np.ndarray
+    target: np.ndarray
+    column: np.ndarray
+    inside: np.ndarray
 
     def __post_init__(self):
         self.means.setflags(write=False)
@@ -245,9 +250,21 @@ class _PartitionRows:
         ]
 
     def witnesses(self, rows: np.ndarray) -> list[PartitionWitness]:
-        """The witnesses of the given failing rows, each array read once for all of them."""
+        """The witnesses of the given failing rows, each array read once for all of them:
+        the extreme vertices of the first wide pair's cell, lowest id on ties."""
         f = np.searchsorted(self.failing, rows)
-        return [PartitionWitness(*w, *v) for w, v in zip(self.witness[f].tolist(), self.values[f].tolist())]
+        col, inside = self.column[f], self.inside[f]
+        lo = np.where(inside, col, np.inf).argmin(axis=1)
+        hi = np.where(inside, col, -np.inf).argmax(axis=1)
+        first, last = np.minimum(lo, hi), np.maximum(lo, hi)
+        pick = np.arange(len(f))
+        fields = (self.cell[f], self.target[f], first, last, col[pick, first], col[pick, last])
+        return [PartitionWitness(*w) for w in zip(*(a.tolist() for a in fields))]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The chunks of one array joined in order; a single chunk is the array itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
@@ -263,20 +280,23 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
     """
     R, n = labels.shape
     V = R // len(adjacency)
-    m = int(labels.max()) + 1
+    cells = labels.max(axis=1) + 1
+    m = int(cells.max())
     parts = []
     for rows in _row_chunks(R, V, n * m):
         runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
         parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows], m))
-    passing, means, witness, values = map(np.concatenate, zip(*parts))
+    passing, means, cell, target, column, inside = map(_joined, zip(*parts))
     return _PartitionRows(
         passing=passing,
-        cells=labels.max(axis=1) + 1,
-        passed=np.flatnonzero(passing),
+        cells=cells,
+        passed=passing.nonzero()[0],
         means=means,
-        failing=np.flatnonzero(~passing),
-        witness=witness,
-        values=values,
+        failing=(~passing).nonzero()[0],
+        cell=cell,
+        target=target,
+        column=column,
+        inside=inside,
     )
 
 
@@ -286,39 +306,34 @@ def _partition_chunk(
     """:func:`_partition_rows` on one chunk of rows, with m cells a row.
 
     Returns whether each row passes, the (P, m, m) means of the P passing
-    rows, and the witness and values of each failing row, as
-    :class:`_PartitionRows` holds them. The flows of all rows come from one
-    stacked matrix product, with each graph's matrix shared by its run,
-    their cell sums from one more product with the same cell indicators,
-    and their spreads from one segment reduction over (row, cell).
+    rows, and the first wide pair, its column and its cell of each failing
+    row, as :class:`_PartitionRows` holds them. The flows of all rows come
+    from one stacked matrix product, with each graph's matrix shared by its
+    run, their cell sums from one more product with the same cell
+    indicators, and their spreads from one segment reduction over (row,
+    cell).
     """
     R, n = labels.shape
     G = len(adjacency)
     cells = (labels[:, :, None] == np.arange(m)).astype(float).reshape(G, R // G, n, m)
-    flows = ((adjacency * alpha[:, None, :])[:, None] @ cells).reshape(R, n, m)
-    flows /= np.repeat(alpha, R // G, axis=0)[:, :, None]
+    flows = (adjacency * alpha[:, None, :])[:, None] @ cells
+    flows /= alpha[:, None, :, None]
+    flows = flows.reshape(R, n, m)
     cells = cells.reshape(R, n, m)
-    means = cells.transpose(0, 2, 1) @ flows  # (row, cell, target), each cell's members added in id order
-    means /= np.maximum(cells.sum(axis=1), 1)[:, :, None]
-    del cells
     key = (labels + m * np.arange(R)[:, None]).ravel()  # (row, cell) as one label
+    means = cells.transpose(0, 2, 1) @ flows  # (row, cell, target), each cell's members added in id order
+    del cells
+    means /= np.maximum(np.bincount(key, minlength=R * m), 1).reshape(R, m, 1)
     spread = _cell_spread(flows.reshape(R * n, m), key, R * m)
     wide = spread.reshape(R, m * m) > eps[:, None]
     del spread
     passing = ~wide.any(axis=1)
 
     # The first wide (cell, target) pair of each failing row, scanning cells
-    # in order, and the cell's extreme vertices (lowest id on ties).
-    rows = np.flatnonzero(~passing)
+    # in order.
+    rows = (~passing).nonzero()[0]
     cell, target = np.divmod(wide[rows].argmax(axis=1), m)
-    col = flows[rows, :, target]
-    inside = labels[rows] == cell[:, None]
-    lo = np.where(inside, col, np.inf).argmin(axis=1)
-    hi = np.where(inside, col, -np.inf).argmax(axis=1)
-    first, last = np.minimum(lo, hi), np.maximum(lo, hi)
-    pick = np.arange(len(rows))
-    witness = np.stack([cell, target, first, last], axis=1)
-    return passing, means[passing], witness, np.stack([col[pick, first], col[pick, last]], axis=1)
+    return passing, means[passing], cell, target, flows[rows, :, target], labels[rows] == cell[:, None]
 
 
 def pseudo_regular_check(
@@ -350,7 +365,7 @@ def pseudo_regular_check(
     return None, part.witnesses(row)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _VertexRows:
     """Both characterizations at a block of (graph, vertex) rows, as arrays.
 
@@ -507,7 +522,8 @@ def _vertex_block(
     must pass the sum rule and match the recurrence.
     """
     alpha = spectra.perron
-    graphs, vertices = np.repeat(np.arange(len(adjacency)), len(vertices)), np.tile(vertices, len(adjacency))
+    graphs, column = np.divmod(np.arange(len(adjacency) * len(vertices)), len(vertices))
+    vertices = vertices[column]
     lam0 = spectra.eigenvalues[graphs, 0]
     alpha_u = alpha[graphs, vertices]
     mults, support, weights, sizes, local_errors = _local_measures(spectra, graphs, vertices, tol)
@@ -518,14 +534,13 @@ def _vertex_block(
     eps = tol.scaled("eps_pdr", lam0)
     extremal = ecc == block.sizes - 1
     # The polynomial check runs at extremal rows with a family; the others
-    # run as zero columns, so that all rows stay one rectangle.
+    # run from a zero constant, as zero columns, so that all rows stay one
+    # rectangle.
     ran = extremal & np.array([e is None for e in block.errors])
-    via_polynomials = ran.copy()
+    via_polynomials = ran
     if ran.any():
-        p0 = np.where(ran, block.vals[:, 0, 0], 0.0)
-        recurrence = (np.where(ran[:, None], c, 0.0) for c in (block.prev, block.same, block.nxt))
-        via_polynomials &= _polynomial_gap(adjacency, alpha, dist, vertices, p0, *recurrence) <= eps
-        del p0
+        p0 = block.vals[:, 0, 0] * ran
+        via_polynomials = ran & (_polynomial_gap(adjacency, alpha, dist, vertices, p0, block.prev, block.same, block.nxt) <= eps)
 
     violations: dict[int, list[Violation]] = {}
     if verify:
@@ -540,12 +555,14 @@ def _vertex_block(
     del block
     part = _partition_rows(adjacency, alpha, dist, eps)
     if verify:
-        for r in np.flatnonzero(part.passing != via_polynomials).tolist():
-            disagreement = _disagreement(int(vertices[r]), bool(part.passing[r]))
-            violations.setdefault(r, []).append(Violation("equivalence", disagreement))
+        disagree = part.passing != via_polynomials
+        if disagree.any():
+            for r in disagree.nonzero()[0].tolist():
+                disagreement = _disagreement(int(vertices[r]), bool(part.passing[r]))
+                violations.setdefault(r, []).append(Violation("equivalence", disagreement))
         # Both characterizations hold: the quotient's level triples must sum to
         # the spectral radius and match the recurrence read per level.
-        pdr = np.flatnonzero(part.passing & via_polynomials)
+        pdr = (part.passing & via_polynomials).nonzero()[0]
         if len(pdr):
             triples = part.levels[0][np.searchsorted(part.passed, pdr)]  # zero past each row's cells
             levels = np.arange(triples.shape[1]) < part.cells[pdr, None]
@@ -556,15 +573,17 @@ def _vertex_block(
             # its support size, and both triple arrays are zero past it.
             width = min(triples.shape[1], recurrence_levels.shape[1])
             four_res = np.abs(triples[:, :width] - recurrence_levels[pdr, :width]).max(axis=(1, 2))
-            for i, r in enumerate(pdr.tolist()):
-                u, found = vertices[r], []
-                if sum_res[i] > tol.eps_pdr:
-                    found.append(Violation("sum_rule", f"vertex {u}: residual {sum_res[i]:.3e}"))
-                if four_res[i] > eps[r]:
-                    detail = f"vertex {u}: quotient vs recurrence residual {four_res[i]:.3e}"
-                    found.append(Violation("fourier_match", detail))
-                if found:
-                    violations.setdefault(r, []).extend(found)
+            bad_sum, bad_four = sum_res > tol.eps_pdr, four_res > eps[pdr]
+            if (bad_sum | bad_four).any():
+                for i, r in enumerate(pdr.tolist()):
+                    u, found = vertices[r], []
+                    if bad_sum[i]:
+                        found.append(Violation("sum_rule", f"vertex {u}: residual {sum_res[i]:.3e}"))
+                    if bad_four[i]:
+                        detail = f"vertex {u}: quotient vs recurrence residual {four_res[i]:.3e}"
+                        found.append(Violation("fourier_match", detail))
+                    if found:
+                        violations.setdefault(r, []).extend(found)
 
     return _VertexRows(
         graphs=graphs,
@@ -604,20 +623,19 @@ def _polynomial_gap(
     """
     R, n = dist.shape
     G = len(adjacency)
-    adjacency = adjacency.astype(float)
-    alpha = np.repeat(alpha, R // G, axis=0)
-    weighted = (alpha * alpha[np.arange(R), vertices][:, None]).T
-    dist = dist.T
-    unit = (np.arange(n)[:, None] == vertices).astype(float)
-    gap = np.zeros(R)
-
-    def times_x(cols):
-        runs = cols.reshape(n, G, R // G).transpose(1, 0, 2)
-        return (adjacency @ runs).transpose(1, 0, 2).reshape(n, R)
-
-    for level, cols in enumerate(_run_recurrence(unit, p0, prev, same, nxt, times_x)):
-        gap = np.maximum(gap, np.abs(cols - np.where(dist == level, weighted, 0.0)).max(axis=0))
-    return gap
+    V = R // G
+    # Row r is column r % V of its graph's (n, V) block: one product per
+    # graph and degree runs the recurrence on all its unit columns.
+    A = adjacency.astype(float)
+    at = vertices.reshape(G, V)
+    unit = np.arange(n)[:, None] == at[:, None, :]
+    weighted = alpha[:, :, None] * alpha[np.arange(G)[:, None], at][:, None, :]
+    dist = dist.reshape(G, V, n).transpose(0, 2, 1)
+    prev, same, nxt = (c.T.reshape(-1, G, 1, V) for c in (prev, same, nxt))
+    gap = np.zeros((G, n, V))
+    for level, cols in enumerate(_run_recurrence(unit, p0.reshape(G, 1, V), prev, same, nxt, lambda cols: A @ cols)):
+        np.maximum(gap, np.abs(cols - np.where(dist == level, weighted, 0.0)), out=gap)
+    return gap.max(axis=1).ravel()
 
 
 def _contract_violations(
@@ -637,58 +655,67 @@ def _contract_violations(
     R, k, _ = vals.shape
     worst_orth = np.empty(R)
     norms2, res, ref = np.empty((3, R, k))
-    diagonal = np.arange(k)
     for rows in _row_chunks(R, 1, k * k):
         v, w = vals[rows], weights[rows]
         # Chunk-sized temporaries are reused in place to bound the peak memory.
-        gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
-        norms2[rows] = np.diagonal(gram, axis1=1, axis2=2)
-        gram[:, diagonal, diagonal] = 0.0
+        gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1).copy()
+        norms2[rows] = gram.diagonal(0, 1, 2)
+        gram.reshape(-1, k * k)[:, :: k + 1] = 0.0
         scale = norms2[rows, :, None] * norms2[rows, None, :]
         np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
         worst_orth[rows] = np.divide(np.abs(gram, out=gram), scale, out=gram).max(axis=(1, 2))
         del gram, scale
-
-        # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support,
-        # with the zero end coefficients dropping p_{-1} and p_{k}. The last
-        # row is the Golub-Welsch closure: the Krylov space ends at local
-        # degree + 1.
-        xp = v * support[rows, None, :]
-        combo = block.same[rows, :, None] * v
-        combo[:, 1:] += block.prev[rows, 1:, None] * v[:, :-1]
-        combo[:, :-1] += block.nxt[rows, :-1, None] * v[:, 1:]
-        res[rows] = np.sqrt(np.square(np.subtract(xp, combo, out=combo), out=combo) @ w[:, :, None])[:, :, 0]
-        ref[rows] = np.sqrt(np.square(xp, out=xp) @ w[:, :, None])[:, :, 0]
-        del xp, combo
+        # Row r's Jacobi matrix: x p_i = prev_i p_{i-1} + same_i p_i + next_i
+        # p_{i+1} on the support, with the zero end coefficients dropping
+        # p_{-1} and p_{k}. Its last row is the Golub-Welsch closure: the
+        # Krylov space ends at local degree + 1. The residual of the
+        # recurrence and the size of x p_i are reduced side by side.
+        jacobi = np.zeros((len(v), k, k))
+        band = jacobi.reshape(-1, k * k)
+        band[:, :: k + 1], band[:, k :: k + 1], band[:, 1 :: k + 1] = (
+            block.same[rows],
+            block.prev[rows, 1:],
+            block.nxt[rows, :-1],
+        )
+        both = np.empty((len(v), 2 * k, k))
+        xp = np.multiply(v, support[rows, None, :], out=both[:, k:])
+        np.subtract(xp, jacobi @ v, out=both[:, :k])
+        del jacobi
+        norms = np.sqrt(np.square(both, out=both) @ w[:, :, None])[:, :, 0]
+        res[rows], ref[rows] = norms[:, :k], norms[:, k:]
+        del both, xp
     bad = res > eps * np.maximum(1.0, ref)
 
     lam0_vals = vals[:, :, 0]
     norm_res = (np.abs(norms2 - alpha2[:, None] * lam0_vals) / np.maximum(1.0, np.abs(norms2))).max(axis=1)
-    valid = np.arange(vals.shape[1]) < block.sizes[:, None]
+    valid = np.arange(k) < block.sizes[:, None]
     norm_bad = (norm_res > eps) | ((lam0_vals <= 0) & valid).any(axis=1)
 
     # p_0 is constant and p_1 = (p_0 / next_0) (x - same_0).
     p0 = lam0_vals[:, 0]
     ok = np.abs(p0 - alpha2) <= eps * np.maximum(1.0, alpha2)
     linear = block.sizes > 1
-    expected = np.divide(alpha2 * lam0, degree, out=np.zeros_like(alpha2), where=linear & (degree > 0))
-    lead = np.divide(p0, block.nxt[:, 0], out=np.zeros_like(p0), where=linear & (block.nxt[:, 0] != 0))
+    expected = np.divide(alpha2 * lam0, degree, out=np.zeros(R), where=linear & (degree > 0))
+    lead = np.divide(p0, block.nxt[:, 0], out=np.zeros(R), where=linear & (block.nxt[:, 0] != 0))
     bound = eps * np.maximum(1.0, expected)
     ok &= ~linear | ((np.abs(lead * block.same[:, 0]) <= bound) & (np.abs(lead - expected) <= bound))
 
     out: dict[int, list[Violation]] = {}
+    orth_bad, recurrence_bad = worst_orth > eps, bad.any(axis=1)
+    if not (orth_bad | norm_bad | ~ok | recurrence_bad).any():
+        return out
     vertex = block.vertices.tolist()
 
     def add(b: int, check: str, detail: str) -> None:
         out.setdefault(b, []).append(Violation(check, f"vertex {vertex[b]}{detail}"))
 
-    for b in np.flatnonzero(worst_orth > eps).tolist():
+    for b in orth_bad.nonzero()[0].tolist():
         add(b, "pd_orthogonality", f": relative residual {worst_orth[b]:.3e}")
-    for b in np.flatnonzero(norm_bad).tolist():
+    for b in norm_bad.nonzero()[0].tolist():
         add(b, "pd_normalization", f": residual {norm_res[b]:.3e}")
-    for b in np.flatnonzero(~ok).tolist():
+    for b in (~ok).nonzero()[0].tolist():
         add(b, "pd_closed_forms", ": constant or degree-one polynomial off")
-    for b in np.flatnonzero(bad.any(axis=1)).tolist():
+    for b in recurrence_bad.nonzero()[0].tolist():
         i = int(np.argmax(bad[b]))
         add(b, "pd_recurrence", f", index {i}: residual {res[b, i]:.3e}")
     return out
@@ -708,7 +735,7 @@ def walk_formula_check(
     u: int | np.ndarray,
     v: int | np.ndarray,
     length: int,
-    powers: list[np.ndarray] | None = None,
+    powers: list[np.ndarray] | np.ndarray | None = None,
     *,
     table: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -992,7 +1019,7 @@ def verify_graphs(graphs: Sequence[Graph], tol: ToleranceConfig = DEFAULT_TOL) -
 
 def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckResult]:
     """:func:`verify_graphs` on a nonempty list of graphs of one order."""
-    adjacency = np.stack([g.adjacency for g in graphs])
+    adjacency = np.array([g.adjacency for g in graphs])
     codes = _graph6_codes(adjacency)
     names = _graph6_strings(codes)
     changed = (_graph6_adjacency(codes, adjacency.shape[1]) != adjacency).any(axis=(1, 2)).tolist()
@@ -1000,22 +1027,21 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
         [Violation("round_trip", "serialize/parse round trip changed the graph")] if bad else [] for bad in changed
     ]
     distances = _distance_stack(adjacency)
-    unreachable = np.argmin(distances[:, 0], axis=1).tolist()
-    spectra = _decompose_stack(adjacency.astype(float), tol)
+    A = adjacency.astype(float)
+    spectra = _decompose_stack(A, tol)
     results: list[GraphCheckResult | None] = [None] * len(graphs)
-    for b, v in enumerate(unreachable):
-        if distances[b, 0, v] < 0:
-            error = f"graph is disconnected: vertex {v} is unreachable from 0"
+    for b, (disconnected, error) in enumerate(zip((distances[:, 0].min(axis=1) < 0).tolist(), spectra.errors)):
+        if disconnected:
+            error = f"graph is disconnected: vertex {distances[b, 0].argmin()} is unreachable from 0"
             results[b] = GraphCheckResult(names[b], None, False, (*found[b], Violation("connectivity", error)))
-        elif spectra.errors[b] is not None:
-            error = str(spectra.errors[b])
-            results[b] = GraphCheckResult(names[b], None, False, (*found[b], Violation("decompose", error)))
+        elif error is not None:
+            results[b] = GraphCheckResult(names[b], None, False, (*found[b], Violation("decompose", str(error))))
     good = np.array([b for b, r in enumerate(results) if r is None], dtype=np.int64)
     if not len(good):
         return results
     if len(good) < len(graphs):
-        adjacency, distances, spectra = adjacency[good], distances[good], spectra.take(good)
-    powers, table = _spectral_identities(adjacency, spectra, tol, [found[b] for b in good.tolist()])
+        adjacency, A, distances, spectra = adjacency[good], A[good], distances[good], spectra.take(good)
+    powers, table = _spectral_identities(A, spectra, tol, [found[b] for b in good.tolist()])
 
     # The vertex pass over every (graph, vertex) row. A graph leaves the
     # stack for its rows' violations when a row of it has a violation or an
@@ -1023,14 +1049,14 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
     # any other graph fails a vertex cleanly and is not_pdr as it stands.
     n = adjacency.shape[1]
     rows = _vertex_block(adjacency, distances, spectra, np.arange(n), tol, verify=True)
-    failing = np.zeros(len(good), dtype=bool)
-    failing[rows.graphs[~rows.partition.passing]] = True
+    failing = ~rows.partition.passing.reshape(len(good), n).all(axis=1)
     flagged = [*rows.violations, *(r for r, error in enumerate(rows.errors) if error is not None)]
     leaving = ~failing
-    leaving[rows.graphs[flagged]] = True
-    for j, b in enumerate(good.tolist()):
+    if flagged:
+        leaving[rows.graphs[flagged]] = True
+    for j, (b, leaves) in enumerate(zip(good.tolist(), leaving.tolist())):
         verdict, all_pdr = VERDICT_NOT_PDR, False
-        if leaving[j]:
+        if leaves:
             dec = spectra.decomposition(j)
             reports = rows.reports(slice(j * n, (j + 1) * n), dec, found[b])
             if reports is None:
@@ -1047,7 +1073,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
                     found[b].append(Violation("classification_internal", str(exc)))
                 else:
                     us, vs = np.nonzero(np.triu(g.adjacency, 1))
-                    walks = [p[j] for p in powers]
+                    walks = powers[:, j]
                     lengths = range(_WALK_CHECK_MAX_LENGTH + 1)
                     worst = np.transpose(
                         [np.maximum(*walk_formula_check(g, dec, us, vs, L, walks, table=table[j])) for L in lengths]
@@ -1062,49 +1088,56 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
 
 def _spectral_identities(
     adjacency: np.ndarray, spectra: _SpectralStack, tol: ToleranceConfig, found: list[list[Violation]]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The whole-graph identities of every graph of a stack; graph j's violations go to ``found[j]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whole-graph identities of every graph of a stack of 0/1 float
+    adjacency matrices; graph j's violations go to ``found[j]``.
 
-    Returns the exact adjacency powers up to the walk-check length and the
-    spectral closed-walk table one length further, as stacks, for the
-    adjacent-pair walk formulas.
+    Returns the exact adjacency powers up to the walk-check length, as the
+    stack of :func:`~pdrkit.spectral._power_stack`, and the spectral
+    closed-walk table one length further, for the adjacent-pair walk
+    formulas.
     """
     B, n, _ = adjacency.shape
     lam0 = spectra.eigenvalues[:, 0]
     alpha = spectra.perron
-    # Idempotent algebra, first: its temporaries are the largest arrays of the check.
+    # Idempotent algebra, first: its temporaries are the largest arrays of
+    # the check, and each is reduced in place.
     E = spectra.idempotents
-    idem_res = np.maximum.reduce(
-        [
-            np.abs(np.einsum("bkij,bkjl->bkil", E, E) - E).max(axis=(1, 2, 3)),
-            np.abs(E.sum(axis=1) - np.eye(n)).max(axis=(1, 2)),
-            np.abs(adjacency[:, None] @ E - spectra.eigenvalues[:, :, None, None] * E).max(axis=(1, 2, 3)),
-        ]
-    )
+    square = E @ E
+    square -= E
+    idem_res = np.abs(square, out=square).max(axis=(1, 2, 3))
+    del square
+    eigen = adjacency[:, None] @ E
+    eigen -= spectra.eigenvalues[:, :, None, None] * E
+    np.maximum(idem_res, np.abs(eigen, out=eigen).max(axis=(1, 2, 3)), out=idem_res)
+    del eigen
+    total = E.sum(axis=1)
+    total.reshape(B, n * n)[:, :: n + 1] -= 1.0  # the idempotents sum to the identity
+    np.maximum(idem_res, np.abs(total, out=total).max(axis=(1, 2)), out=idem_res)
     # Local multiplicities of one eigenvalue sum to its global multiplicity.
-    mults = spectra.local_multiplicities()
-    trace_res = np.abs(mults.sum(axis=1) - spectra.multiplicities).max(axis=1)
+    trace_res = np.abs(E.trace(axis1=2, axis2=3) - spectra.multiplicities).max(axis=1)
     # The Perron-weighted average degree is the spectral radius at every vertex.
     wdeg_res = np.abs((adjacency @ alpha[:, :, None])[:, :, 0] / alpha - lam0[:, None]).max(axis=1)
 
     # Spectral walk identity on the diagonal, exact integer side vs spectral side.
     # The adjacent-pair walk formulas read the table one length further.
     powers = _power_stack(adjacency, _WALK_CHECK_MAX_LENGTH)
-    table = _closed_walk_table(spectra.eigenvalues, mults, _WALK_CHECK_MAX_LENGTH + 1)
+    table = _closed_walk_table(spectra.eigenvalues, spectra.local_multiplicities(), _WALK_CHECK_MAX_LENGTH + 1)
     lengths = np.arange(_WALK_CHECK_MAX_LENGTH + 1)
-    closed = np.stack([np.diagonal(p, axis1=1, axis2=2) for p in powers], axis=2)
-    worst = np.abs(closed - table[:, :, : len(lengths)]).max(axis=1)
+    closed = powers.diagonal(0, 2, 3).transpose(1, 2, 0)  # (graph, vertex, length)
+    worst = np.abs(closed - table[:, :, :-1]).max(axis=1)
     bounds = tol.scaled("eps_walk", lam0[:, None], lengths)
-    bad = (worst > bounds).any(axis=1) | (trace_res > n * tol.eps_mult)
-    bad |= (wdeg_res > tol.eps_num) | (idem_res > tol.eps_num)
-    for j in np.flatnonzero(bad).tolist():
-        for L in np.flatnonzero(worst[j] > bounds[j]).tolist():
-            detail = f"length {L}: residual {worst[j, L]:.3e} > {bounds[j, L]:.3e}"
-            found[j].append(Violation("closed_walk_identity", detail))
-        if trace_res[j] > n * tol.eps_mult:
-            found[j].append(Violation("multiplicity_sum", f"residual {trace_res[j]:.3e}"))
-        if wdeg_res[j] > tol.eps_num:
-            found[j].append(Violation("weighted_degree", f"residual {wdeg_res[j]:.3e}"))
-        if idem_res[j] > tol.eps_num:
-            found[j].append(Violation("idempotents", f"residual {idem_res[j]:.3e}"))
+    walk_bad = worst > bounds
+    bad = walk_bad.any(axis=1) | (trace_res > n * tol.eps_mult) | (wdeg_res > tol.eps_num) | (idem_res > tol.eps_num)
+    if bad.any():
+        for j in bad.nonzero()[0].tolist():
+            for L in walk_bad[j].nonzero()[0].tolist():
+                detail = f"length {L}: residual {worst[j, L]:.3e} > {bounds[j, L]:.3e}"
+                found[j].append(Violation("closed_walk_identity", detail))
+            if trace_res[j] > n * tol.eps_mult:
+                found[j].append(Violation("multiplicity_sum", f"residual {trace_res[j]:.3e}"))
+            if wdeg_res[j] > tol.eps_num:
+                found[j].append(Violation("weighted_degree", f"residual {wdeg_res[j]:.3e}"))
+            if idem_res[j] > tol.eps_num:
+                found[j].append(Violation("idempotents", f"residual {idem_res[j]:.3e}"))
     return powers, table

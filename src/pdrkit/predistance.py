@@ -53,14 +53,13 @@ class PredistanceSystem:
 
     def _run(self, unit: np.ndarray, times_x) -> Iterator[np.ndarray]:
         """Yield p_0(x) unit, p_1(x) unit, ... by the recurrence, where ``times_x`` applies x."""
-        prev, same, nxt = np.array(self.recurrence).T[:, None, :]
-        runs = _run_recurrence(unit[:, None], np.array(self.values_at_radius[:1]), prev, same, nxt, times_x)
-        return (col[:, 0] for col in runs)
+        prev, same, nxt = np.array(self.recurrence).T
+        return _run_recurrence(unit, self.values_at_radius[0], prev, same, nxt, times_x)
 
 
 def _run_recurrence(
     unit: np.ndarray,
-    p0: np.ndarray,
+    p0,
     prev: np.ndarray,
     same: np.ndarray,
     nxt: np.ndarray,
@@ -68,20 +67,25 @@ def _run_recurrence(
 ) -> Iterator[np.ndarray]:
     """Yield p_0(x) unit, p_1(x) unit, ... for a block of families at once.
 
-    Column b of ``unit`` runs family b: p_0 is the constant ``p0[b]`` and
-    row b of the (B, k) coefficient arrays holds its recurrence, padded
-    with zeros past its own degree. ``times_x`` applies x to a whole block.
-    A column whose recurrence has ended (next coefficient zero) stays zero.
+    p_0 is the constant ``p0``, and the coefficient arrays lead with the
+    degree: ``prev[i]``, ``same[i]`` and ``nxt[i]`` are those of degree i,
+    zero past a family's own degree. ``p0`` and each coefficient of one
+    degree broadcast against ``unit``, so that every family runs on its own
+    columns. ``times_x`` applies x to a whole block. A column whose
+    recurrence has ended (next coefficient zero) stays zero.
     """
+    going = nxt != 0
     before, cur = 0.0 * unit, p0 * unit
     yield cur
-    for i in range(prev.shape[1] - 1):
-        step = times_x(cur) - same[:, i] * cur - prev[:, i] * before
-        before, cur = cur, np.divide(step, nxt[:, i], out=np.zeros_like(step), where=nxt[:, i] != 0)
+    for i in range(len(prev) - 1):
+        step = times_x(cur)
+        step -= same[i] * cur
+        step -= prev[i] * before
+        before, cur = cur, np.divide(step, nxt[i], out=np.zeros(step.shape), where=going[i])
         yield cur
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _PredistanceBlock:
     """The predistance families of a block of vertices, padded to the largest.
 
@@ -134,51 +138,65 @@ def _predistance_block(
     :class:`IllConditionedMeasureError`.
     """
     B, k = support.shape
-    errors: list[Exception | None] = [None] * B
-    live = np.ones(B, dtype=bool)
 
     # Lanczos on diag(support), reorthogonalized twice: q[b, i] is
     # sqrt(weights) times the i-th orthonormal polynomial of row b on its
-    # support, and off[b, i] its Jacobi matrix's off-diagonal.
+    # support, and off[b, i] its Jacobi matrix's off-diagonal. Every row
+    # takes every step; a row's steps past its last degree, sizes[b] - 1,
+    # or past a rank loss, work on rounding noise (0/0 included) and are
+    # zeroed once the loop is done.
     q = np.zeros((B, k, k))
     q[:, 0] = np.sqrt(weights / weights.sum(axis=1, keepdims=True))
-    off = np.zeros((B, k))
-    for i in range(k - 1):
-        live &= i < sizes - 1
-        if not live.any():
-            break
-        v = support * q[:, i]
-        ref = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-        for _ in range(2):
+    norms = np.zeros((k - 1, B))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(k - 1):
+            v = support * q[:, i]
+            row, column = v[:, None, :], v[:, :, None]
             basis = q[:, : i + 1]
-            v -= (basis.transpose(0, 2, 1) @ (basis @ v[:, :, None]))[:, :, 0]
-        norm = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        lost = live & (norm**2 <= _RANK_FLOOR * np.maximum(1.0, ref))
-        if lost.any():
-            live &= ~lost
-            for b in np.flatnonzero(lost):
-                errors[b] = IllConditionedMeasureError(
-                    f"rank loss at degree {i + 1}: support points of vertex {vertices[b]} are numerically coincident"
-                )
-        off[:, i] = np.where(live, norm, 0.0)
-        q[:, i + 1] = np.divide(v, norm[:, None], out=np.zeros_like(v), where=live[:, None])
-    same = np.zeros((B, k))
-    for rows in _row_chunks(B, 1, k * k):
-        same[rows] = (np.square(q[rows]) @ support[rows, :, None])[:, :, 0]
+            for _ in range(2):
+                np.subtract(row, (basis @ column).transpose(0, 2, 1) @ basis, out=row)
+            norm = np.matmul(row, column, out=norms[i, :, None, None])[:, 0, 0]
+            np.sqrt(norm, out=norm)
+            np.divide(v, norm[:, None], out=q[:, i + 1])
+        # Each degree's recurrence coefficient same_i = <x q_i, q_i>, and the
+        # squared norm of x q_i, a chunk of rows at a time.
+        same, refs = np.zeros((2, B, k))
+        for rows in _row_chunks(B, 1, k * k):
+            square = np.square(q[rows])
+            same[rows] = (square @ support[rows, :, None])[:, :, 0]
+            refs[rows] = (square @ np.square(support[rows])[:, :, None])[:, :, 0]
+            del square
+        # A row loses rank at the first step short of its last degree whose
+        # residual is negligible against the vector it started from, x q_i.
+        step = np.arange(k - 1)[:, None]
+        last = sizes - 1
+        lost = (norms**2 <= _RANK_FLOOR * np.maximum(1.0, refs[:, :-1].T)) & (step < last)
+        end = np.minimum(np.where(lost, step, k).min(axis=0, initial=k), last)  # each row's last degree
+        past = np.arange(k) > end[:, None]
+        q[past] = 0.0
+        same[past] = 0.0
+        off = np.where(step.T < end[:, None], norms.T, 0.0)
+    errors: list[Exception | None] = [None] * B
+    short = end < last
+    if short.any():
+        for b in short.nonzero()[0].tolist():
+            errors[b] = IllConditionedMeasureError(
+                f"rank loss at degree {end[b] + 1}: support points of vertex {vertices[b]} are numerically coincident"
+            )
 
     # p_i = s_i phat_i with s_i = alpha_u^2 phat_i(lambda0) enforces
     # ||p_i||^2 = alpha_u^2 p_i(lambda0) with p_i(lambda0) > 0. The values
-    # overwrite q: padded columns of q are zero already.
+    # overwrite q: padded columns of q are zero already. Where the family
+    # has ended, off is zero, and so are prev and next.
     root = np.sqrt(weights)[:, None, :]
     phat = np.divide(q, root, out=q, where=root > 0)
     s = alphas[:, None] ** 2 * phat[:, :, 0]
     vals = np.multiply(phat, s[:, :, None], out=phat)
     vals.setflags(write=False)
-    step = off[:, :-1] > 0
-    ratio = np.divide(s[:, 1:], s[:, :-1], out=np.ones_like(s[:, 1:]), where=step)
-    prev, nxt = np.zeros((B, k)), np.zeros((B, k))
-    prev[:, 1:] = off[:, :-1] * ratio
-    nxt[:, :-1] = np.where(step, off[:, :-1] / ratio, 0.0)
+    ratio = np.divide(s[:, 1:], s[:, :-1], out=np.ones((B, k - 1)), where=off > 0)
+    prev, nxt = np.zeros((2, B, k))
+    prev[:, 1:] = off * ratio
+    nxt[:, :-1] = off / ratio
     return _PredistanceBlock(vertices, support, weights, sizes, vals, prev, same, nxt, errors)
 
 

@@ -39,6 +39,8 @@ def _row_chunks(R: int, V: int, per_row: int) -> list[slice]:
     while a run fits, else consecutive rows of one run.
     """
     size = max(1, _BLOCK_ENTRIES // per_row)
+    if size >= R:
+        return [slice(0, R)]
     if size >= V:
         step = size // V * V
         return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
@@ -132,7 +134,7 @@ class LocalSpectrum:
         return self.local_mults[self.local_mults != 0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _SpectralStack:
     """The decompositions of B graphs of one order n, padded to the most groups.
 
@@ -189,42 +191,46 @@ class _SpectralStack:
 
     def local_multiplicities(self) -> np.ndarray:
         """(B, n, k) raw local multiplicities: entry (b, u, i) is (u, u) of graph b's idempotent i."""
-        return np.einsum("bkuu->buk", self.idempotents)
+        return self.idempotents.diagonal(0, 2, 3).transpose(0, 2, 1)
 
 
 def _group_stack(evals: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, list[GroupingAmbiguityError | None]]:
     """Group every row of a (B, n) stack of decreasing eigenvalue lists.
 
-    Row b splits where a gap exceeds ``eps[b]``; entry (b, i) of the result
-    is the group of eigenvalue i. ``errors[b]`` is set when a gap of row b
-    lies within a factor 10 of ``eps[b]`` (the first such gap is named) or,
-    failing that, when a group's accumulated spread exceeds ``eps[b]`` (the
-    first such group is named).
+    Row b splits where a gap exceeds ``eps[b]``. The result's (2, G) bounds
+    hold the first and the last member of each of the stack's G groups, in
+    order, as indices into the flattened stack. ``errors[b]`` is set when a
+    gap of row b lies within a factor 10 of ``eps[b]`` (the first such gap
+    is named) or, failing that, when a group's accumulated spread exceeds
+    ``eps[b]`` (the first such group is named).
     """
     B, n = evals.shape
     gaps = evals[:, :-1] - evals[:, 1:]
     e = eps[:, None]
     split = gaps > e
-    groups = np.zeros((B, n), dtype=np.int64)
-    np.cumsum(split, axis=1, out=groups[:, 1:])
-    # Each group's first and last members, in order: the spread is their difference.
-    first, last = np.ones((2, B, n), dtype=bool)
-    first[:, 1:], last[:, :-1] = split, split
-    spread = evals[first] - evals[last]
-    owner = np.nonzero(first)[0]
+    # A group starts after each split and ends before it: its spread is the
+    # difference of its first and last members.
+    ends = np.ones((2, B, n), dtype=bool)
+    ends[0, :, 1:] = split
+    ends[1, :, :-1] = split
+    bounds = ends.reshape(2, B * n).nonzero()[1].reshape(2, -1)
+    top, bottom = evals.take(bounds)
+    spread = top - bottom
+    owner = bounds[0] // n
     wide = spread > eps[owner]
     ambiguous = (e / 10 < gaps) & (gaps < e * 10)
     errors: list[GroupingAmbiguityError | None] = [None] * B
-    for i in np.flatnonzero(wide)[::-1].tolist():  # the first wide group of a row is set last
-        errors[owner[i]] = GroupingAmbiguityError(
-            f"within-group spread {float(spread[i]):.3e} exceeds the grouping threshold {float(eps[owner[i]]):.3e}"
-        )
-    for b in np.flatnonzero(ambiguous.any(axis=1)).tolist():
-        errors[b] = GroupingAmbiguityError(
-            f"eigenvalue gap {float(gaps[b, np.argmax(ambiguous[b])]):.3e} "
-            f"is within a factor 10 of the grouping threshold {float(eps[b]):.3e}"
-        )
-    return groups, errors
+    if wide.any() or ambiguous.any():
+        for i in wide.nonzero()[0][::-1].tolist():  # the first wide group of a row is set last
+            errors[owner[i]] = GroupingAmbiguityError(
+                f"within-group spread {float(spread[i]):.3e} exceeds the grouping threshold {float(eps[owner[i]]):.3e}"
+            )
+        for b in ambiguous.any(axis=1).nonzero()[0].tolist():
+            errors[b] = GroupingAmbiguityError(
+                f"eigenvalue gap {float(gaps[b, np.argmax(ambiguous[b])]):.3e} "
+                f"is within a factor 10 of the grouping threshold {float(eps[b]):.3e}"
+            )
+    return bounds, errors
 
 
 def _decompose_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> _SpectralStack:
@@ -248,52 +254,51 @@ def _decompose_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> _SpectralSt
             except np.linalg.LinAlgError as exc:
                 errors[b] = NumericalError(f"eigensolver did not converge: {exc}")
     evals = evals[:, ::-1]
-    vecs = vecs[:, :, ::-1]
     eps = tol.scaled("eps_group", evals[:, 0])
-    groups, group_errors = _group_stack(evals, eps)
-    sizes = groups[:, -1] + 1
+    (first, last), group_errors = _group_stack(evals, eps)
+    counts = last - first + 1
+    sizes = np.bincount(first // n, minlength=B)
     k = int(sizes.max())
+    present = np.arange(k) < sizes[:, None]  # (graph, group) pairs, in the order of the groups
 
-    # Group g of graph b spans eigenvalues starts[b, g] .. starts[b, g] + counts[b, g] - 1.
-    flat = (groups + k * np.arange(B)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=B * k).reshape(B, k)
-    present = counts > 0
-    starts = np.zeros((B, k), dtype=np.int64)
-    starts[present] = np.flatnonzero(np.diff(flat, prepend=-1)) % n
-
-    # Groups of one size are handled together, a chunk of _row_chunks at a
-    # time: one stacked mean and one stacked product per chunk. A group's
-    # eigenvector block, product and symmetrized product count as 4 n^2
-    # entries, which keeps a chunk's temporaries small beside the result.
+    # Every group's mean and idempotent from the rows of its eigenvectors,
+    # padded to the widest group with a zero row: the products' inner
+    # dimension is the largest group size. A group's eigenvector rows,
+    # product and symmetrized product count as 4 n^2 entries, which keeps a
+    # chunk's temporaries small beside the result.
+    rows = np.zeros((B * n + 1, n))
+    rows[:-1] = vecs.transpose(0, 2, 1)[:, ::-1].reshape(B * n, n)
+    members = first[:, None] + np.arange(int(counts.max()))
+    members[members > last[:, None]] = B * n
     eigenvalues = np.zeros((B, k))
-    idempotents = np.zeros((B, k, n, n))
-    graph, group = np.nonzero(present)
-    size = counts[graph, group]
-    for m in np.flatnonzero(np.bincount(size)).tolist():  # the group sizes present, in order
-        pick = np.flatnonzero(size == m)
-        for rows in _row_chunks(len(pick), 1, 4 * n * n):
-            b, g = graph[pick[rows]], group[pick[rows]]
-            members = starts[b, g][:, None] + np.arange(m)
-            eigenvalues[b, g] = np.mean(evals[b[:, None], members], axis=1)
-            V = vecs[b[:, None, None], np.arange(n)[:, None], members[:, None, :]]
-            E = V @ V.transpose(0, 2, 1)
-            del V
-            symmetric = E + E.transpose(0, 2, 1)  # kill asymmetric rounding
-            del E
-            symmetric /= 2
-            idempotents[b, g] = symmetric
+    eigenvalues[present] = np.add.reduceat(evals.ravel(), first) / counts  # each group summed in order
     eigenvalues[np.abs(eigenvalues) < eps[:, None]] = 0.0  # same clamp idea as local multiplicities
-    perron = vecs[:, :, 0] * np.sqrt(n)
-    perron[perron[:, 0] < 0] *= -1
-    found: list[NumericalError | None] = [None] * B
-    for b in np.flatnonzero((counts[:, 0] != 1) | ~(perron > 0).all(axis=1)).tolist():
-        found[b] = NumericalError(
-            f"largest eigenvalue grouped with multiplicity {counts[b, 0]}; "
-            "connected graphs have a simple spectral radius"
-        ) if counts[b, 0] != 1 else NumericalError("Perron vector is not entrywise positive")
+    multiplicities = np.zeros((B, k), dtype=np.int64)
+    multiplicities[present] = counts
+    idempotents = np.zeros((B * k, n, n))
+    place = present.ravel().nonzero()[0]
+    for chunk in _row_chunks(len(first), 1, 4 * n * n):
+        V = rows[members[chunk]]
+        E = V.transpose(0, 2, 1) @ V
+        del V
+        E += E.transpose(0, 2, 1)  # kill asymmetric rounding
+        E /= 2
+        idempotents[place[chunk]] = E
+    perron = vecs[:, :, -1] * np.copysign(np.sqrt(n), vecs[:, :1, -1])
     # A failed eigensolver comes first, then an ambiguous grouping.
-    errors = [e or g or f for e, g, f in zip(errors, group_errors, found)]
-    return _SpectralStack(eigenvalues, counts, idempotents, perron, sizes, errors)
+    errors = [e or g for e, g in zip(errors, group_errors)]
+    bad = (multiplicities[:, 0] != 1) | ~(perron > 0).all(axis=1)
+    if bad.any():
+        for b in bad.nonzero()[0].tolist():
+            errors[b] = errors[b] or (
+                NumericalError(
+                    f"largest eigenvalue grouped with multiplicity {multiplicities[b, 0]}; "
+                    "connected graphs have a simple spectral radius"
+                )
+                if multiplicities[b, 0] != 1
+                else NumericalError("Perron vector is not entrywise positive")
+            )
+    return _SpectralStack(eigenvalues, multiplicities, idempotents.reshape(B, k, n, n), perron, sizes, errors)
 
 
 def decompose(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
@@ -327,15 +332,17 @@ def _local_measures(
     present = mults > 0
     sizes = present.sum(axis=1)
     width = max(1, int(sizes.max()))
-    order = np.argsort(~present, axis=1, kind="stable")[:, :width]
+    order = (~present).argsort(axis=1, kind="stable")[:, :width]
     kept = np.arange(width) < sizes[:, None]
     support = np.where(kept, spectra.eigenvalues[graphs[:, None], order], 0.0)
     weights = np.where(kept, mults[np.arange(len(vertices))[:, None], order], 0.0)
     for a in (mults, support, weights):
         a.setflags(write=False)
     errors: list[NumericalError | None] = [None] * len(vertices)
-    for r in np.flatnonzero((mults < 0).any(axis=1)).tolist():
-        errors[r] = NumericalError(f"negative local multiplicity beyond clamp at vertex {vertices[r]}")
+    negative = mults < 0
+    if negative.any():
+        for r in negative.any(axis=1).nonzero()[0].tolist():
+            errors[r] = NumericalError(f"negative local multiplicity beyond clamp at vertex {vertices[r]}")
     return mults, support, weights, sizes, errors
 
 
@@ -362,21 +369,28 @@ def adjacency_powers(g: Graph, max_power: int) -> list[np.ndarray]:
     range, so entries are always exact. The one-graph case of
     :func:`_power_stack`.
     """
-    return [p[0] for p in _power_stack(g.adjacency[None], max_power)]
+    return list(_power_stack(g.adjacency[None], max_power)[:, 0])
 
 
-def _power_stack(adjacency: np.ndarray, max_power: int) -> list[np.ndarray]:
-    """:func:`adjacency_powers` of a nonempty (B, n, n) stack of 0/1 matrices: entry k is the stack of k-th powers."""
+def _power_stack(adjacency: np.ndarray, max_power: int) -> np.ndarray:
+    """:func:`adjacency_powers` of a nonempty (B, n, n) stack of 0/1 matrices,
+    as one (max_power + 1, B, n, n) array: entry k is the stack of k-th powers.
+
+    An entry of A^(k+1) is at most n times the largest entry of A^k, and an
+    entry of A^k is at most n^k: the largest entry is checked before each
+    product only when n^max_power passes the bound that keeps the next
+    product exact.
+    """
     if max_power < 0:
         raise ValueError("max_power must be non-negative")
     B, n, _ = adjacency.shape
-    powers = [np.repeat(np.eye(n, dtype=np.int64)[None], B, axis=0)]
     A = adjacency.astype(np.int64)
+    powers = np.zeros((max_power + 1, B, n, n), dtype=np.int64)
+    powers[0].reshape(B, n * n)[:, :: n + 1] = 1
     limit = (2**63 - 1) // max(1, n)
+    guarded = n**max_power > limit
     for k in range(max_power):
-        prev = powers[-1]
-        if int(prev.max()) > limit:
+        if guarded and int(powers[k].max()) > limit:
             raise OverflowError(f"64-bit walk counts would overflow at power {k + 1}")
-        powers.append(prev @ A)
+        np.matmul(powers[k], A, out=powers[k + 1])
     return powers
-

@@ -102,8 +102,8 @@ def test_regular_graph_has_flat_perron():
 
 def test_grouping_merges_and_splits():
     evals = np.array([[3.0, 1.0 + 4e-10, 1.0, -2.0]])
-    groups, errors = _group_stack(evals, np.array([1e-8]))
-    assert groups.tolist() == [[0, 1, 1, 2]] and errors == [None]
+    bounds, errors = _group_stack(evals, np.array([1e-8]))
+    assert bounds.tolist() == [[0, 1, 3], [0, 2, 3]] and errors == [None]  # first and last members
 
 
 def test_grouping_ambiguity_raises():
@@ -113,9 +113,9 @@ def test_grouping_ambiguity_raises():
     # threshold is ambiguous too; in a stack, each row keeps its own error.
     chained = 1.0 - 9e-10 * np.arange(13)
     clean = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.0, -1.0, -1.0, -2.0, -3.0, -4.0, -5.0])
-    groups, errors = _group_stack(np.stack([clean, chained]), np.array([1e-8, 1e-8]))
+    bounds, errors = _group_stack(np.stack([clean, chained]), np.array([1e-8, 1e-8]))
     assert errors[0] is None and isinstance(errors[1], GroupingAmbiguityError)
-    assert "within-group spread" in str(errors[1]) and groups[1].tolist() == [0] * 13
+    assert "within-group spread" in str(errors[1]) and bounds[:, -1].tolist() == [13, 25]  # row 1 is one group
 
 
 def test_grouping_ambiguity_through_decompose():
