@@ -162,6 +162,11 @@ def _pair_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+# The weight of each of a byte's six payload bits, most significant first.
+_BIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+_BIT_WEIGHTS.setflags(write=False)
+
+
 def _graph6_codes(adjacency: np.ndarray) -> np.ndarray:
     """(B, 1 + payload) uint8 graph6 bytes of a (B, n, n) boolean stack, zero padding bits."""
     B, n, _ = adjacency.shape
@@ -170,25 +175,39 @@ def _graph6_codes(adjacency: np.ndarray) -> np.ndarray:
     bits = np.zeros((B, 6 * nbytes), dtype=np.uint8)
     bits[:, : len(rows)] = adjacency[:, rows, cols]
     codes = np.empty((B, 1 + nbytes), dtype=np.uint8)
-    codes[:, 0] = 63 + n
-    codes[:, 1:] = 63 + bits.reshape(B, nbytes, 6) @ (1 << np.arange(5, -1, -1, dtype=np.uint8))
+    codes[:, 0] = n
+    codes[:, 1:] = bits.reshape(B, nbytes, 6) @ _BIT_WEIGHTS
+    codes += 63
     return codes
 
 
 def _graph6_strings(codes: np.ndarray) -> list[str]:
     """The rows of :func:`_graph6_codes` as strings."""
-    return codes.view(f"S{codes.shape[1]}")[:, 0].astype(f"U{codes.shape[1]}").tolist()
+    width = codes.shape[1]
+    text = codes.tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
+
+
+@lru_cache(maxsize=GRAPH6_MAX_N)
+def _bit_positions(n: int) -> np.ndarray:
+    """Read-only (n, n) positions of each pair's bit among the unpacked bits of a graph6 row.
+
+    Each byte less 63 unpacks to eight bits, most significant first, and
+    its value is below 64, so that its first two bits are zero; pair p of
+    :func:`_pair_order` is the last six bits' (p % 6)-th of payload byte
+    p // 6. A diagonal entry points at the size byte's first bit, a zero.
+    """
+    rows, cols = _pair_order(n)
+    p = np.arange(len(rows))
+    positions = np.zeros((n, n), dtype=np.int64)
+    positions[rows, cols] = positions[cols, rows] = 8 * (1 + p // 6) + 2 + p % 6
+    positions.setflags(write=False)
+    return positions
 
 
 def _graph6_adjacency(codes: np.ndarray, n: int) -> np.ndarray:
     """(B, n, n) boolean stack of well-formed short graph6 byte rows of order n; padding bits are ignored."""
-    rows, cols = _pair_order(n)
-    # A byte's six payload bits are the low six of its eight, most significant first.
-    bits = np.unpackbits(codes[:, 1:, None] - 63, axis=2)[:, :, 2:].reshape(len(codes), -1)[:, : len(rows)]
-    adj = np.zeros((len(codes), n, n), dtype=bool)
-    adj[:, rows, cols] = bits
-    adj[:, cols, rows] = bits
-    return adj
+    return np.unpackbits(codes - 63, axis=1)[:, _bit_positions(n)].view(bool)
 
 
 def parse_graph6(data: str | bytes) -> Graph:
@@ -205,10 +224,8 @@ def parse_graph6(data: str | bytes) -> Graph:
         raw = bytes(data)
     if not raw:
         raise Graph6Error("empty input", 0)
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    bad = (codes < 63) | (codes > 126)
-    if bad.any():
-        k = int(np.argmax(bad))
+    if min(raw) < 63 or max(raw) > 126:
+        k = next(i for i, byte in enumerate(raw) if not 63 <= byte <= 126)
         raise Graph6Error(f"byte {raw[k]} outside the printable range [63, 126]", k)
     if raw[0] == 126:
         raise Graph6Error("long-form size prefix '~' is not supported", 0)
@@ -221,7 +238,7 @@ def parse_graph6(data: str | bytes) -> Graph:
             f"payload for n={n} needs {nbytes} bytes, got {len(raw) - 1}",
             min(len(raw), 1 + nbytes),
         )
-    adj = _graph6_adjacency(codes[None], n)[0]
+    adj = _graph6_adjacency(np.frombuffer(raw, dtype=np.uint8)[None], n)[0]
     return Graph(n=n, adjacency=adj, edge_count=np.count_nonzero(adj) // 2)
 
 

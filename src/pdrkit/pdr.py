@@ -262,11 +262,6 @@ class _PartitionRows:
         return [PartitionWitness(*w) for w in zip(*(a.tolist() for a in fields))]
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The chunks of one array joined in order; a single chunk is the array itself."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
     """:func:`pseudo_regular_check` on every row of a (R, n) block of label rows.
 
@@ -286,7 +281,7 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
     for rows in _row_chunks(R, V, n * m):
         runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
         parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows], m))
-    passing, means, cell, target, column, inside = map(_joined, zip(*parts))
+    (passing, means, cell, target, column, inside) = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return _PartitionRows(
         passing=passing,
         cells=cells,

@@ -134,8 +134,8 @@ def _predistance_block(
     after: nonempty, positive and strictly decreasing from the spectral
     radius, as the local measures of a decomposition are. ``alphas`` holds
     the rows' Perron entries. Lanczos runs on every row together, one
-    degree at a time; a row that loses rank stops there and records its
-    :class:`IllConditionedMeasureError`.
+    degree at a time; a row that loses rank ends its family there and
+    records its :class:`IllConditionedMeasureError`.
     """
     B, k = support.shape
 

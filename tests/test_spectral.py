@@ -33,6 +33,29 @@ def test_k3_spectrum():
     assert list(dec.multiplicities) == [1, 2]
 
 
+def test_idempotents_match_the_eigenvector_outer_products():
+    # Each idempotent against (V V^T + (V V^T)^T) / 2, for V the group's
+    # columns of the descending eigenvectors: a one-member group to the bit,
+    # a larger group of m members within 4 m eps, whatever its neighbours.
+    graphs = list(small_corpus(5))
+    graphs += [generate_named(*spec) for spec in (("petersen",), ("complete", 8), ("hypercube", 4))]
+    graphs += [generate_named(*spec) for spec in (("cycle", 20), ("path", 16), ("complete_bipartite", 3, 7))]
+    eps = np.finfo(float).eps
+    for g in graphs:
+        dec = decompose(g)
+        vecs = np.linalg.eigh(g.adjacency_matrix())[1][:, ::-1]
+        start = 0
+        for m, E in zip(dec.multiplicities.tolist(), dec.idempotents):
+            V = vecs[:, start : start + m]
+            start += m
+            outer = V @ V.T
+            want = (outer + outer.T) / 2
+            if m == 1:
+                assert E.tobytes() == want.tobytes(), g
+            else:
+                assert np.abs(E - want).max() <= 4 * m * eps, g
+
+
 def test_c4_spectrum():
     # 2 cos(2 pi k / 4) for k = 0..3 gives 2, 0, 0, -2.
     dec = decompose(generate_named("cycle", 4))
@@ -222,6 +245,17 @@ def test_integer_powers_overflow_guard():
     g = generate_named("complete", 6)
     with pytest.raises(OverflowError):
         adjacency_powers(g, 100)
+    # The boundary: on K62 the entries of A^k are (61^k - (-1)^k) / 62 off the
+    # diagonal and that plus (-1)^k on it. A^11 fits int64 and is exact; A^12
+    # would need a product past the range, and is refused.
+    g = generate_named("complete", 62)
+    for k, power in enumerate(adjacency_powers(g, 11)):
+        off = (61**k - (-1) ** k) // 62
+        want = np.full((62, 62), off, dtype=np.int64)
+        np.fill_diagonal(want, off + (-1) ** k)
+        assert power.dtype == np.int64 and np.array_equal(power, want), k
+    with pytest.raises(OverflowError):
+        adjacency_powers(g, 12)
 
 
 def test_closed_walk_identity():

@@ -169,3 +169,31 @@ def test_stacks_follow_the_entry_budget(monkeypatch):
     verify_graphs(graphs)
     per_stack = pdr._STACK_ENTRIES // 5**3
     assert sizes == [(5, per_stack), (5, len(graphs) - 3 - per_stack), (40, 1), (40, 1), (40, 1)]
+
+
+# Mean call and c_call events per verify_graph on the fixed set of
+# test_one_graph_stays_within_its_call_budget, counted with sys.setprofile:
+# 931 while each stage looped over group sizes and ran its error loops
+# empty; each stage is now a short, fixed sequence of array operations.
+CALLS_PER_GRAPH = 416
+
+
+def test_one_graph_stays_within_its_call_budget():
+    import sys
+
+    graphs = list(enumerate_connected(6))[::267] + [generate_named("complete", 6), generate_named("complete_bipartite", 2, 4)]
+    for g in graphs:  # first-call imports and caches stay out of the count
+        verify_graph(g)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        for g in graphs:
+            verify_graph(g)
+    finally:
+        sys.setprofile(None)
+    assert calls / len(graphs) <= 1.1 * CALLS_PER_GRAPH
