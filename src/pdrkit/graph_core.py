@@ -192,10 +192,10 @@ def _graph6_strings(codes: np.ndarray) -> list[str]:
 def _bit_positions(n: int) -> np.ndarray:
     """Read-only (n, n) positions of each pair's bit among the unpacked bits of a graph6 row.
 
-    Each byte less 63 unpacks to eight bits, most significant first, and
-    its value is below 64, so that its first two bits are zero; pair p of
-    :func:`_pair_order` is the last six bits' (p % 6)-th of payload byte
-    p // 6. A diagonal entry points at the size byte's first bit, a zero.
+    A row less 63 unpacks to eight bits a byte, most significant first.
+    Each byte is then below 64, so its first two bits are zero: pair p of
+    :func:`_pair_order` is bit 2 + p % 6 of payload byte p // 6, and a
+    diagonal entry points at the first bit of the size byte.
     """
     rows, cols = _pair_order(n)
     p = np.arange(len(rows))

@@ -281,7 +281,7 @@ def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray
     for rows in _row_chunks(R, V, n * m):
         runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
         parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows], m))
-    (passing, means, cell, target, column, inside) = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    passing, means, cell, target, column, inside = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return _PartitionRows(
         passing=passing,
         cells=cells,
@@ -535,7 +535,8 @@ def _vertex_block(
     via_polynomials = ran
     if ran.any():
         p0 = block.vals[:, 0, 0] * ran
-        via_polynomials = ran & (_polynomial_gap(adjacency, alpha, dist, vertices, p0, block.prev, block.same, block.nxt) <= eps)
+        gap = _polynomial_gap(adjacency, alpha, dist, vertices, p0, block.prev, block.same, block.nxt)
+        via_polynomials = ran & (gap <= eps)
 
     violations: dict[int, list[Violation]] = {}
     if verify:
@@ -653,32 +654,25 @@ def _contract_violations(
     for rows in _row_chunks(R, 1, k * k):
         v, w = vals[rows], weights[rows]
         # Chunk-sized temporaries are reused in place to bound the peak memory.
-        gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1).copy()
+        gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
         norms2[rows] = gram.diagonal(0, 1, 2)
         gram.reshape(-1, k * k)[:, :: k + 1] = 0.0
         scale = norms2[rows, :, None] * norms2[rows, None, :]
         np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
         worst_orth[rows] = np.divide(np.abs(gram, out=gram), scale, out=gram).max(axis=(1, 2))
         del gram, scale
-        # Row r's Jacobi matrix: x p_i = prev_i p_{i-1} + same_i p_i + next_i
-        # p_{i+1} on the support, with the zero end coefficients dropping
-        # p_{-1} and p_{k}. Its last row is the Golub-Welsch closure: the
-        # Krylov space ends at local degree + 1. The residual of the
-        # recurrence and the size of x p_i are reduced side by side.
-        jacobi = np.zeros((len(v), k, k))
-        band = jacobi.reshape(-1, k * k)
-        band[:, :: k + 1], band[:, k :: k + 1], band[:, 1 :: k + 1] = (
-            block.same[rows],
-            block.prev[rows, 1:],
-            block.nxt[rows, :-1],
-        )
-        both = np.empty((len(v), 2 * k, k))
-        xp = np.multiply(v, support[rows, None, :], out=both[:, k:])
-        np.subtract(xp, jacobi @ v, out=both[:, :k])
-        del jacobi
-        norms = np.sqrt(np.square(both, out=both) @ w[:, :, None])[:, :, 0]
-        res[rows], ref[rows] = norms[:, :k], norms[:, k:]
-        del both, xp
+
+        # x p_i = prev_i p_{i-1} + same_i p_i + next_i p_{i+1} on the support,
+        # with the zero end coefficients dropping p_{-1} and p_{k}. The last
+        # row is the Golub-Welsch closure: the Krylov space ends at local
+        # degree + 1.
+        xp = v * support[rows, None, :]
+        combo = block.same[rows, :, None] * v
+        combo[:, 1:] += block.prev[rows, 1:, None] * v[:, :-1]
+        combo[:, :-1] += block.nxt[rows, :-1, None] * v[:, 1:]
+        res[rows] = np.sqrt(np.square(np.subtract(xp, combo, out=combo), out=combo) @ w[:, :, None])[:, :, 0]
+        ref[rows] = np.sqrt(np.square(xp, out=xp) @ w[:, :, None])[:, :, 0]
+        del xp, combo
     bad = res > eps * np.maximum(1.0, ref)
 
     lam0_vals = vals[:, :, 0]

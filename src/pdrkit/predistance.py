@@ -59,7 +59,7 @@ class PredistanceSystem:
 
 def _run_recurrence(
     unit: np.ndarray,
-    p0,
+    p0: float | np.ndarray,
     prev: np.ndarray,
     same: np.ndarray,
     nxt: np.ndarray,

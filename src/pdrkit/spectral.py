@@ -285,19 +285,19 @@ def _decompose_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> _SpectralSt
         E /= 2
         idempotents[place[chunk]] = E
     perron = vecs[:, :, -1] * np.copysign(np.sqrt(n), vecs[:, :1, -1])
-    # A failed eigensolver comes first, then an ambiguous grouping.
+    # A failed eigensolver comes first, then an ambiguous grouping, then a
+    # multiple spectral radius or a Perron vector that is not positive.
     errors = [e or g for e, g in zip(errors, group_errors)]
-    bad = (multiplicities[:, 0] != 1) | ~(perron > 0).all(axis=1)
+    top = multiplicities[:, 0]
+    bad = (top != 1) | ~(perron > 0).all(axis=1)
     if bad.any():
         for b in bad.nonzero()[0].tolist():
-            errors[b] = errors[b] or (
-                NumericalError(
-                    f"largest eigenvalue grouped with multiplicity {multiplicities[b, 0]}; "
-                    "connected graphs have a simple spectral radius"
-                )
-                if multiplicities[b, 0] != 1
-                else NumericalError("Perron vector is not entrywise positive")
+            found = (
+                f"largest eigenvalue grouped with multiplicity {top[b]}; connected graphs have a simple spectral radius"
+                if top[b] != 1
+                else "Perron vector is not entrywise positive"
             )
+            errors[b] = errors[b] or NumericalError(found)
     return _SpectralStack(eigenvalues, multiplicities, idempotents.reshape(B, k, n, n), perron, sizes, errors)
 
 
