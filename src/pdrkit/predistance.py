@@ -143,39 +143,38 @@ def _predistance_block(
     # sqrt(weights) times the i-th orthonormal polynomial of row b on its
     # support, and off[b, i] its Jacobi matrix's off-diagonal. Every row
     # takes every step; a row's steps past its last degree, sizes[b] - 1,
-    # or past a rank loss, work on rounding noise (0/0 included) and are
-    # zeroed once the loop is done.
+    # or past a rank loss, work on rounding noise (a zero vector stays zero)
+    # and are zeroed once the loop is done.
     q = np.zeros((B, k, k))
     q[:, 0] = np.sqrt(weights / weights.sum(axis=1, keepdims=True))
     norms = np.zeros((k - 1, B))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(k - 1):
-            v = support * q[:, i]
-            row, column = v[:, None, :], v[:, :, None]
-            basis = q[:, : i + 1]
-            for _ in range(2):
-                np.subtract(row, (basis @ column).transpose(0, 2, 1) @ basis, out=row)
-            norm = np.matmul(row, column, out=norms[i, :, None, None])[:, 0, 0]
-            np.sqrt(norm, out=norm)
-            np.divide(v, norm[:, None], out=q[:, i + 1])
-        # Each degree's recurrence coefficient same_i = <x q_i, q_i>, and the
-        # squared norm of x q_i, a chunk of rows at a time.
-        same, refs = np.zeros((2, B, k))
-        for rows in _row_chunks(B, 1, k * k):
-            square = np.square(q[rows])
-            same[rows] = (square @ support[rows, :, None])[:, :, 0]
-            refs[rows] = (square @ np.square(support[rows])[:, :, None])[:, :, 0]
-            del square
-        # A row loses rank at the first step short of its last degree whose
-        # residual is negligible against the vector it started from, x q_i.
-        step = np.arange(k - 1)[:, None]
-        last = sizes - 1
-        lost = (norms**2 <= _RANK_FLOOR * np.maximum(1.0, refs[:, :-1].T)) & (step < last)
-        end = np.minimum(np.where(lost, step, k).min(axis=0, initial=k), last)  # each row's last degree
-        past = np.arange(k) > end[:, None]
-        q[past] = 0.0
-        same[past] = 0.0
-        off = np.where(step.T < end[:, None], norms.T, 0.0)
+    for i in range(k - 1):
+        v = support * q[:, i]
+        row, column = v[:, None, :], v[:, :, None]
+        basis = q[:, : i + 1]
+        for _ in range(2):
+            np.subtract(row, (basis @ column).transpose(0, 2, 1) @ basis, out=row)
+        norm = np.matmul(row, column, out=norms[i, :, None, None])
+        np.sqrt(norm, out=norm)
+        np.divide(v, norm[:, 0], out=q[:, i + 1], where=norm[:, 0] > 0)
+    # Each degree's recurrence coefficient same_i = <x q_i, q_i>, and the
+    # squared norm of x q_i, a chunk of rows at a time.
+    same, refs = np.zeros((2, B, k))
+    for rows in _row_chunks(B, 1, k * k):
+        square = np.square(q[rows])
+        same[rows] = (square @ support[rows, :, None])[:, :, 0]
+        refs[rows] = (square @ np.square(support[rows])[:, :, None])[:, :, 0]
+        del square
+    # A row loses rank at the first step short of its last degree whose
+    # residual is negligible against the vector it started from, x q_i.
+    step = np.arange(k - 1)[:, None]
+    last = sizes - 1
+    lost = (norms**2 <= _RANK_FLOOR * np.maximum(1.0, refs[:, :-1].T)) & (step < last)
+    end = np.minimum(np.where(lost, step, k).min(axis=0, initial=k), last)  # each row's last degree
+    past = np.arange(k) > end[:, None]
+    q[past] = 0.0
+    same[past] = 0.0
+    off = np.where(step.T < end[:, None], norms.T, 0.0)
     errors: list[Exception | None] = [None] * B
     short = end < last
     if short.any():
