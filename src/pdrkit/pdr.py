@@ -196,9 +196,7 @@ def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = Non
     """
     order = labels.argsort(kind="stable")
     ordered = labels[order]
-    change = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-    starts = change.nonzero()[0]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1])).nonzero()[0]
     block = values[order]
     present = np.maximum.reduceat(block, starts)
     present -= np.minimum.reduceat(block, starts)
@@ -208,7 +206,7 @@ def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = Non
     return spread
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _PartitionRows:
     """:func:`pseudo_regular_check` on a block of label rows, as arrays.
 
@@ -360,7 +358,7 @@ def pseudo_regular_check(
     return None, part.witnesses(row)[0]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _VertexRows:
     """Both characterizations at a block of (graph, vertex) rows, as arrays.
 

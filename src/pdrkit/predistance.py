@@ -85,7 +85,7 @@ def _run_recurrence(
         yield cur
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _PredistanceBlock:
     """The predistance families of a block of vertices, padded to the largest.
 

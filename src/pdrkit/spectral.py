@@ -39,8 +39,6 @@ def _row_chunks(R: int, V: int, per_row: int) -> list[slice]:
     while a run fits, else consecutive rows of one run.
     """
     size = max(1, _BLOCK_ENTRIES // per_row)
-    if size >= R:
-        return [slice(0, R)]
     if size >= V:
         step = size // V * V
         return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
@@ -134,7 +132,7 @@ class LocalSpectrum:
         return self.local_mults[self.local_mults != 0]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _SpectralStack:
     """The decompositions of B graphs of one order n, padded to the most groups.
 
