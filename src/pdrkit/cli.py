@@ -40,8 +40,9 @@ from .graph_core import (
     UnsupportedSizeError,
     _connected_stacks,
     _graph6_codes,
+    _graph6_order,
+    _graph6_stack,
     _graph6_strings,
-    _parse_graph6_batch,
     distances_from,
     generate_named,
     parse_graph6,
@@ -55,7 +56,7 @@ from .spectral import (
     local_spectrum,
 )
 from .predistance import PredistanceSystem, build_predistance
-from .pdr import InternalCheckError, _stack_size, _vertex_pass, classify, verify_graphs
+from .pdr import InternalCheckError, _stack_size, _verify_stack, _vertex_pass, classify
 
 # Exit code of every subcommand when standard output is closed before it finishes.
 EXIT_BROKEN_PIPE = 141
@@ -319,9 +320,9 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _verify_batch(item: tuple[list[str], ToleranceConfig]) -> list[dict]:
-    """The records of one batch of graph6 strings of one order, in order."""
-    sources, tol = item
+def _verify_batch(item: tuple[int, list[str], ToleranceConfig]) -> list[dict]:
+    """The records of one batch of graph6 strings of order n, in order."""
+    n, sources, tol = item
     return [
         {
             "graph6": result.graph6,
@@ -329,7 +330,7 @@ def _verify_batch(item: tuple[list[str], ToleranceConfig]) -> list[dict]:
             "all_pdr": result.all_pdr,
             "violations": [f"{v.check}: {v.detail}" for v in result.violations],
         }
-        for result in verify_graphs(_parse_graph6_batch(sources), tol)
+        for result in _verify_stack(_graph6_stack(sources, n), tol)
     ]
 
 
@@ -342,21 +343,16 @@ def _connected_count(n: int) -> int:
     return counts[n]
 
 
-def _batches(chunks: Iterable[list[str]], total: int, jobs: int) -> Iterator[list[str]]:
-    """Consecutive runs of graph6 strings of one order, each as large as one
-    stack of that order, and small enough that ``total`` graphs make at
-    least min(total, 8 * jobs) batches, so that every worker gets work."""
+def _batches(runs: Iterable[tuple[int, list[str]]], total: int, jobs: int) -> Iterator[tuple[int, list[str]]]:
+    """The ``(n, strings)`` runs of graph6 strings of order n cut into
+    batches, each no larger than one stack of that order, and small enough
+    that ``total`` graphs make at least min(total, 8 * jobs) batches, so
+    that every worker gets work."""
     share = max(1, total // (8 * jobs))
-    run: list[str] = []
-    for chunk in chunks:
-        for s in chunk:
-            # The first byte of a well-formed short graph6 string is n + 63.
-            if run and (s[0] != run[0][0] or len(run) == min(share, _stack_size(ord(s[0]) - 63))):
-                yield run
-                run = []
-            run.append(s)
-    if run:
-        yield run
+    for n, strings in runs:
+        size = min(share, _stack_size(n))
+        for lo in range(0, len(strings), size):
+            yield n, strings[lo : lo + size]
 
 
 def _in_windows(pool, items: Iterator, window: int) -> Iterator:
@@ -382,22 +378,24 @@ def _cmd_verify(args) -> int:
             return 2
         total = _connected_count(args.enumerate)
         # The strings are encoded a chunk of edge masks at a time, as batches are taken.
-        chunks = (_graph6_strings(_graph6_codes(adj)) for adj in _connected_stacks(args.enumerate))
+        runs = ((args.enumerate, _graph6_strings(_graph6_codes(adj))) for adj in _connected_stacks(args.enumerate))
     else:
         try:
             lines = _read_corpus(args.corpus)
         except OSError as exc:
             print(f"cannot read corpus: {exc}", file=sys.stderr)
             return 2
-        sources = []
+        runs = []  # (n, strings) for each run of consecutive lines of one order
         for lineno, s in lines:
             try:
-                parse_graph6(s)
+                _, n = _graph6_order(s)
             except Graph6Error as exc:
                 print(f"{args.corpus}:{lineno}: {exc}", file=sys.stderr)
                 return 2
-            sources.append(s)
-        total, chunks = len(sources), [sources]
+            if not runs or runs[-1][0] != n:
+                runs.append((n, []))
+            runs[-1][1].append(s)
+        total = len(lines)
 
     counts = {
         "total": 0,
@@ -426,7 +424,7 @@ def _cmd_verify(args) -> int:
 
     # The pool starts all its workers at once, so never more than there are graphs.
     jobs = min(args.jobs, total)
-    items = ((batch, tol) for batch in _batches(chunks, total, max(1, jobs)))
+    items = ((n, batch, tol) for n, batch in _batches(runs, total, max(1, jobs)))
     if jobs <= 1:
         consume(map(_verify_batch, items))
     else:

@@ -210,10 +210,11 @@ def _graph6_adjacency(codes: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(codes - 63, axis=1)[:, _bit_positions(n)].view(bool)
 
 
-def parse_graph6(data: str | bytes) -> Graph:
-    """Decode a short-form graph6 byte string into a :class:`Graph`.
+def _graph6_order(data: str | bytes) -> tuple[bytes, int]:
+    """The bytes and the order n of a well-formed short-form graph6 string.
 
-    Raises :class:`Graph6Error` with the byte offset on malformed input.
+    The one home of graph6's validation rules: raises :class:`Graph6Error`
+    with the byte offset on malformed input.
     """
     if isinstance(data, str):
         try:
@@ -238,30 +239,24 @@ def parse_graph6(data: str | bytes) -> Graph:
             f"payload for n={n} needs {nbytes} bytes, got {len(raw) - 1}",
             min(len(raw), 1 + nbytes),
         )
+    return raw, n
+
+
+def _graph6_stack(strings: list[str], n: int) -> np.ndarray:
+    """(B, n, n) boolean stack of a nonempty list of graph6 strings of order n
+    that :func:`_graph6_order` has accepted."""
+    codes = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(len(strings), -1)
+    return _graph6_adjacency(codes, n)
+
+
+def parse_graph6(data: str | bytes) -> Graph:
+    """Decode a short-form graph6 byte string into a :class:`Graph`.
+
+    Raises :class:`Graph6Error` with the byte offset on malformed input.
+    """
+    raw, n = _graph6_order(data)
     adj = _graph6_adjacency(np.frombuffer(raw, dtype=np.uint8)[None], n)[0]
     return Graph(n=n, adjacency=adj, edge_count=np.count_nonzero(adj) // 2)
-
-
-def _parse_graph6_batch(strings: list[str]) -> list[Graph]:
-    """:func:`parse_graph6` on a nonempty list of strings, decoded at once
-    when they are well-formed graph6 of one order; otherwise string by
-    string, so that a malformed one raises as :func:`parse_graph6` does."""
-    try:
-        codes = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(len(strings), -1)
-    except (UnicodeEncodeError, ValueError):
-        codes = None
-    if codes is not None:
-        n = int(codes[0, 0]) - 63
-        if (
-            1 <= n <= GRAPH6_MAX_N
-            and all(len(s) == codes.shape[1] for s in strings)
-            and codes.shape[1] == 1 + (n * (n - 1) // 2 + 5) // 6
-            and (codes[:, 0] == codes[0, 0]).all()
-            and ((codes >= 63) & (codes <= 126)).all()
-        ):
-            adj = _graph6_adjacency(codes, n)
-            return [Graph(n=n, adjacency=a, edge_count=np.count_nonzero(a) // 2) for a in adj]
-    return [parse_graph6(s) for s in strings]
 
 
 def _require_short_graph6(n: int) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -735,9 +735,14 @@ def walk_formula_check(
     and symmetrically with u and v swapped. Returns both absolute residuals
     against the exact integer walk count, elementwise when u and v are
     index arrays. ``powers`` may carry precomputed integer adjacency powers
-    and ``table`` the spectral closed-walk table up to length + 1.
+    and ``table`` the spectral closed-walk table up to length + 1. Raises
+    ValueError on a vertex out of range or a pair that is not adjacent.
     """
     u, v = np.broadcast_arrays(u, v)
+    ends = np.stack((u, v))
+    if ends.size and not 0 <= ends.min() <= ends.max() < g.n:
+        bad = ends[(ends < 0) | (ends >= g.n)]
+        raise ValueError(f"vertex {bad[0]} out of range for a graph on {g.n} vertices")
     apart = ~g.adjacency[u, v]
     if apart.any():
         k = int(np.argmax(apart))
@@ -980,8 +985,8 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
 def verify_graphs(graphs: Sequence[Graph], tol: ToleranceConfig = DEFAULT_TOL) -> list[GraphCheckResult]:
     """:func:`verify_graph` on every graph, in input order.
 
-    Graphs of one order n are checked together, in stacks of at most
-    max(1, 2^16 // n^3) graphs: each stage is one set of array
+    Consecutive graphs of one order n are checked together, in stacks of at
+    most max(1, 2^16 // n^3) graphs: each stage is one set of array
     operations over a stack, and the rows of the vertex pass are its
     (graph, vertex) pairs. A graph with a violation or a numerical error at
     a vertex leaves the stack for its rows' violations, and only a graph
@@ -989,24 +994,20 @@ def verify_graphs(graphs: Sequence[Graph], tol: ToleranceConfig = DEFAULT_TOL) -
     the walk formulas. Raises :class:`UnsupportedSizeError` past short
     graph6 (n > 62), before any other work.
     """
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    for n in by_order:
+    for n in {g.n for g in graphs}:
         _require_short_graph6(n)
-    results: list[GraphCheckResult | None] = [None] * len(graphs)
-    for n, members in by_order.items():
+    results: list[GraphCheckResult] = []
+    for n, run in groupby(graphs, key=lambda g: g.n):
+        run = list(run)
         size = _stack_size(n)
-        for lo in range(0, len(members), size):
-            chunk = members[lo : lo + size]
-            for i, result in zip(chunk, _verify_stack([graphs[i] for i in chunk], tol)):
-                results[i] = result
+        for lo in range(0, len(run), size):
+            results += _verify_stack(np.array([g.adjacency for g in run[lo : lo + size]]), tol)
     return results
 
 
-def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckResult]:
-    """:func:`verify_graphs` on a nonempty list of graphs of one order."""
-    adjacency = np.array([g.adjacency for g in graphs])
+def _verify_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> list[GraphCheckResult]:
+    """:func:`verify_graphs` on a nonempty (B, n, n) boolean adjacency stack,
+    building a :class:`Graph` only for a graph that goes on to :func:`classify`."""
     codes = _graph6_codes(adjacency)
     names = _graph6_strings(codes)
     changed = (_graph6_adjacency(codes, adjacency.shape[1]) != adjacency).any(axis=(1, 2)).tolist()
@@ -1016,7 +1017,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
     distances = _distance_stack(adjacency)
     A = adjacency.astype(float)
     spectra = _decompose_stack(A, tol)
-    results: list[GraphCheckResult | None] = [None] * len(graphs)
+    results: list[GraphCheckResult | None] = [None] * len(adjacency)
     for b, (disconnected, error) in enumerate(zip((distances[:, 0].min(axis=1) < 0).tolist(), spectra.errors)):
         if disconnected:
             error = f"graph is disconnected: vertex {distances[b, 0].argmin()} is unreachable from 0"
@@ -1026,7 +1027,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
     good = np.array([b for b, r in enumerate(results) if r is None], dtype=np.int64)
     if not len(good):
         return results
-    if len(good) < len(graphs):
+    if len(good) < len(adjacency):
         adjacency, A, distances, spectra = adjacency[good], A[good], distances[good], spectra.take(good)
     powers, table = _spectral_identities(A, spectra, tol, [found[b] for b in good.tolist()])
 
@@ -1052,7 +1053,7 @@ def _verify_stack(graphs: list[Graph], tol: ToleranceConfig) -> list[GraphCheckR
                 # Every vertex passed: classify checks the theorem's outcome
                 # against its integer oracles, and then come the adjacent-pair
                 # walk formulas, all edges per length, reported edge by edge.
-                g, verdict, all_pdr = graphs[b], None, True
+                g, verdict, all_pdr = Graph.from_adjacency(adjacency[j]), None, True
                 _cache_distances(g, distances[j])
                 try:
                     verdict = classify(g, tol, dec=dec, reports=reports).verdict

@@ -204,7 +204,8 @@ def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> Pred
 
     ``lambda0`` is the spectral radius and ``alpha_u`` the vertex's Perron
     entry. Raises ValueError on a local spectrum that is empty, not
-    strictly decreasing, not positive or not led by ``lambda0``, and
+    strictly decreasing, not positive or not led by ``lambda0``, or on an
+    ``alpha_u`` that is not a finite number > 0, and
     :class:`IllConditionedMeasureError` on numerical rank loss before the
     local degree is reached. The one-row case of :func:`_predistance_block`.
     """
@@ -217,6 +218,8 @@ def build_predistance(ls: LocalSpectrum, lambda0: float, alpha_u: float) -> Pred
         raise ValueError("support weights must be positive")
     if abs(support[0, 0] - lambda0) > 1e-9 * max(1.0, abs(lambda0)):
         raise ValueError("spectral radius must be the largest support value")
+    if not 0 < alpha_u < np.inf:  # false for nan too
+        raise ValueError(f"Perron entry must be a finite number > 0, got {alpha_u}")
     sizes, alphas = np.array([support.shape[1]]), np.array([alpha_u])
     block = _predistance_block(np.array([ls.vertex]), support, weights, sizes, alphas)
     (error,) = block.errors

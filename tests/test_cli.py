@@ -302,6 +302,47 @@ def test_verify_corpus_keeps_the_spectral_radius_in_every_local_measure(capsys, 
     assert summary["total"] == 5 and summary["violations"] == 0
 
 
+def count_graphs(monkeypatch) -> list[int]:
+    """A list that gets the order of each Graph constructed from now on."""
+    built: list[int] = []
+    init = pdrkit.Graph.__post_init__
+
+    def counting(g):
+        built.append(g.n)
+        init(g)
+
+    monkeypatch.setattr(pdrkit.Graph, "__post_init__", counting)
+    return built
+
+
+def test_verify_batch_builds_a_graph_only_for_a_graph_that_reaches_classify(monkeypatch):
+    from itertools import islice
+
+    from pdrkit.cli import _verify_batch
+    from pdrkit.pdr import _stack_size
+
+    strings = [serialize_graph6(g) for g in islice(enumerate_connected(6), _stack_size(6))]
+    built = count_graphs(monkeypatch)
+    records = _verify_batch((6, strings, pdrkit.DEFAULT_TOL))
+    assert len(records) == 303
+    classified = sum(r["all_pdr"] for r in records)
+    assert 0 < classified < len(records) and len(built) == classified
+
+
+def test_verify_corpus_builds_no_graph_per_line(capsys, monkeypatch, tmp_path):
+    corpus = tmp_path / "mixed.g6"
+    lines = ["Bw", "C~", "CQ", *LOLLIPOPS, serialize_graph6(generate_named("petersen")), "Bw", "Ch"]
+    corpus.write_text("\n".join(lines) + "\n", encoding="ascii")
+    names = [serialize_graph6(pdrkit.parse_graph6(s)) for s in lines]
+    built = count_graphs(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", str(corpus), "--per-graph")
+    assert (code, err) == (1, "")  # CQ is disconnected
+    *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["graph6"] for r in records] == names
+    assert summary["all_pdr"] == 4  # Bw twice, C~ and the Petersen graph
+    assert sorted(built) == [3, 3, 4, 10]
+
+
 def test_analyze_lollipop_is_not_pdr(capsys):
     doc = run_json(capsys, "analyze", LOLLIPOPS[1])
     assert doc["classification"]["verdict"] == "not_pdr" and doc["classification"]["witness"] == 0

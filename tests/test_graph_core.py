@@ -104,15 +104,17 @@ def test_parse_errors_carry_offsets(data, offset):
 # --- graph6 serialization -------------------------------------------------
 
 
-def test_batch_parse_matches_parse_graph6():
-    from pdrkit.graph_core import _parse_graph6_batch
+def test_stack_decoder_matches_parse_graph6():
+    # Row by row, on every connected graph with n <= 5 and every 50th with n = 6.
+    from pdrkit.graph_core import _graph6_order, _graph6_stack
 
-    strings = [serialize_graph6(g) for g in enumerate_connected(5)]
-    assert _parse_graph6_batch(strings) == [parse_graph6(s) for s in strings]
-    assert _parse_graph6_batch(["Bw", "CF", "Bw"]) == [parse_graph6(s) for s in ("Bw", "CF", "Bw")]
-    # Joined, these would split into two well-formed rows; alone, the first is malformed.
-    with pytest.raises(Graph6Error, match="payload"):
-        _parse_graph6_batch(["BwB", "w"])
+    for n in range(1, 7):
+        strings = [serialize_graph6(g) for g in enumerate_connected(n)][:: 50 if n == 6 else 1]
+        assert {_graph6_order(s)[1] for s in strings} == {n}
+        stack = _graph6_stack(strings, n)
+        assert stack.shape == (len(strings), n, n) and stack.dtype == bool
+        for s, adj in zip(strings, stack):
+            assert np.array_equal(adj, parse_graph6(s).adjacency)
 
 
 def test_serialize_known_strings():

@@ -278,6 +278,14 @@ def test_walk_formula_requires_adjacency():
         walk_formula_check(g, dec, np.array([0, 0]), np.array([1, 2]), 3)
 
 
+def test_walk_formula_rejects_vertices_out_of_range():
+    # Before the adjacency test: -1 would read vertex 4, and 7 would index past the matrix.
+    g, dec = prepared(generate_named("cycle", 5))
+    for u, v, bad in [(-1, 0, -1), (0, 7, 7), (np.array([0, 1]), np.array([1, 5]), 5), (np.array([-2, 0]), 1, -2)]:
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for a graph on 5 vertices$"):
+            walk_formula_check(g, dec, u, v, 3)
+
+
 @pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
 def test_walk_formula_index_arrays_match_scalar_calls(spec):
     g, dec = prepared(generate_named(*spec))

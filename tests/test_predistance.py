@@ -230,8 +230,8 @@ def test_ill_conditioned_support_raises():
 
 
 def test_build_rejects_bad_support():
-    # A local spectrum a caller built is checked before Lanczos runs, with
-    # one message per broken condition.
+    # A local spectrum and a Perron entry a caller built are checked before
+    # Lanczos runs, with one message per broken condition.
     cases = [
         ([2.0, 1.0], [0.0, 0.0], [], 2.0, "empty local spectrum"),
         ([2.0, 1.0], [0.5, 0.5], [1.0, 2.0], 2.0, "support values must be strictly decreasing"),
@@ -248,6 +248,11 @@ def test_build_rejects_bad_support():
         )
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_predistance(ls, lambda0, 1.0)
+    # A Perron entry of 0 or nan would give nan recurrence coefficients.
+    ls = local_spectrum(decompose(generate_named("petersen")), 0)
+    for alpha_u in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^Perron entry must be a finite number > 0, got {alpha_u}$"):
+            build_predistance(ls, 3.0, alpha_u)
 
 
 # --- columns p_i(A)e_u ---------------------------------------------------------

@@ -160,9 +160,9 @@ def test_stacks_follow_the_entry_budget(monkeypatch):
     sizes = []
     stack = pdr._verify_stack
 
-    def record(graphs, tol):
-        sizes.append((graphs[0].n, len(graphs)))
-        return stack(graphs, tol)
+    def record(adjacency, tol):
+        sizes.append((adjacency.shape[1], len(adjacency)))
+        return stack(adjacency, tol)
 
     monkeypatch.setattr(pdr, "_verify_stack", record)
     graphs = list(enumerate_connected(5)) + [generate_named("cycle", 40)] * 3
