@@ -13,9 +13,7 @@ from .graph_core import (
     ConnectivityError,
     Graph,
     Graph6Error,
-    GRAPH6_MAX_N,
     NAMED_FAMILIES,
-    UnsupportedSizeError,
     bipartition,
     distances_from,
     enumerate_connected,

@@ -37,7 +37,6 @@ from .graph_core import (
     Graph,
     Graph6Error,
     NAMED_FAMILIES,
-    UnsupportedSizeError,
     _connected_stacks,
     _graph6_codes,
     _graph6_order,
@@ -234,8 +233,7 @@ def _tolerance_block(tol: ToleranceConfig) -> dict:
 
 
 def analysis_report(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Full analysis of one graph as a plain JSON-ready dict; past short
-    graph6 (n > 62) it raises :class:`UnsupportedSizeError` before any spectral work."""
+    """Full analysis of one graph as a plain JSON-ready dict."""
     g6 = serialize_graph6(g)
     dec = decompose(g, tol)
     reports = _vertex_pass(g, dec, tol)
@@ -275,8 +273,7 @@ def _monomial_coefficients(system: PredistanceSystem) -> list[list[float]]:
 
 
 def spectrum_report(g: Graph, vertex: int | None, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Global spectrum, plus the local spectrum and polynomials of one vertex;
-    past short graph6 (n > 62) it raises :class:`UnsupportedSizeError` before any spectral work."""
+    """Global spectrum, plus the local spectrum and polynomials of one vertex."""
     g6 = serialize_graph6(g)
     dec = decompose(g, tol)
     out = {
@@ -520,7 +517,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check error: {exc}", file=sys.stderr)
         return 5
-    except (UnsupportedSizeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-GRAPH6_MAX_N = 62
-
 
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the position of the bad byte."""
@@ -28,10 +26,6 @@ class Graph6Error(ValueError):
 
     def __reduce__(self):  # survives process boundaries
         return type(self), (self._message, self.offset)
-
-
-class UnsupportedSizeError(ValueError):
-    """Graph too large for the short graph6 form (n > 62)."""
 
 
 class ConnectivityError(ValueError):
@@ -143,41 +137,60 @@ class Bipartition:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (short form only)
+# graph6 codec
 #
-# First byte is n + 63 with n <= 62.  The remaining bytes pack the strict
-# upper triangle read column by column -- (0,1), (0,2), (1,2), (0,3), ... --
-# six bits per byte, most significant bit first, each byte offset by 63.
-# Encoding and decoding work on stacks of graphs of one order, one byte row
-# per graph; the one-graph functions are their B = 1 case.
+# A size header, then the strict upper triangle read column by column --
+# (0,1), (0,2), (1,2), (0,3), ... -- six bits per byte, most significant bit
+# first, each byte offset by 63 (B. D. McKay, formats.txt). The header holds
+# n in six-bit bytes, most significant first: one byte for n <= 62, '~' and
+# three for n <= 258,047, '~~' and six beyond. Only the shortest header that
+# holds n is well-formed, so the encoding is canonical. Encoding and decoding
+# work on stacks of graphs of one order, one byte row per graph; the
+# one-graph functions are their B = 1 case.
 
 
-@lru_cache(maxsize=GRAPH6_MAX_N)
-def _pair_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row/column indices of the upper triangle in graph6 bit order."""
-    cols = np.repeat(np.arange(1, n), np.arange(1, n))
-    rows = np.concatenate([np.arange(j) for j in range(1, n)]) if n > 1 else np.array([], dtype=int)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+# The six-bit bytes of n in a size header that opens with 0, 1 or 2 '~'.
+_SIZE_DIGITS = (1, 3, 6)
 
 
-# The weight of each of a byte's six payload bits, most significant first.
-_BIT_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-_BIT_WEIGHTS.setflags(write=False)
+def _graph6_header(n: int) -> bytes:
+    """The graph6 size header of order n."""
+    tildes = 0 if n <= 62 else 1 if n <= 258047 else 2
+    return b"~" * tildes + bytes([63 + (n >> 6 * k & 63) for k in reversed(range(_SIZE_DIGITS[tildes]))])
+
+
+def _graph6_length(n: int) -> int:
+    """The bytes of a graph6 string of order n: the header, then six pair bits a byte."""
+    return len(_graph6_header(n)) + (n * (n - 1) // 2 + 5) // 6
+
+
+@lru_cache(maxsize=64)
+def _bit_positions(n: int) -> np.ndarray:
+    """Read-only (n, n) positions of each pair's bit among the unpacked bits of a graph6 row of order n.
+
+    A row less 63 unpacks to eight bits a byte, most significant first.
+    Each byte is then below 64, so its first two bits are zero: pair
+    (i, j), i < j, is pair p = j(j-1)/2 + i of the upper triangle, bit
+    2 + p % 6 of payload byte p // 6, and a diagonal entry points at the
+    first bit of the header.
+    """
+    i, j = np.triu_indices(n, 1)
+    p = j * (j - 1) // 2 + i
+    positions = np.zeros((n, n), dtype=np.int64)
+    positions[i, j] = positions[j, i] = 8 * (len(_graph6_header(n)) + p // 6) + 2 + p % 6
+    positions.setflags(write=False)
+    return positions
 
 
 def _graph6_codes(adjacency: np.ndarray) -> np.ndarray:
-    """(B, 1 + payload) uint8 graph6 bytes of a (B, n, n) boolean stack, zero padding bits."""
+    """(B, length) uint8 graph6 bytes of a (B, n, n) boolean stack, zero padding bits."""
     B, n, _ = adjacency.shape
-    rows, cols = _pair_order(n)
-    nbytes = (len(rows) + 5) // 6
-    bits = np.zeros((B, 6 * nbytes), dtype=np.uint8)
-    bits[:, : len(rows)] = adjacency[:, rows, cols]
-    codes = np.empty((B, 1 + nbytes), dtype=np.uint8)
-    codes[:, 0] = n
-    codes[:, 1:] = bits.reshape(B, nbytes, 6) @ _BIT_WEIGHTS
+    header = _graph6_header(n)
+    bits = np.zeros((B, 8 * _graph6_length(n)), dtype=bool)
+    bits[:, _bit_positions(n)] = adjacency  # the diagonal's zeros land in the header, written last
+    codes = np.packbits(bits, axis=1)
     codes += 63
+    codes[:, : len(header)] = np.frombuffer(header, dtype=np.uint8)
     return codes
 
 
@@ -188,30 +201,13 @@ def _graph6_strings(codes: np.ndarray) -> list[str]:
     return [text[i : i + width] for i in range(0, len(text), width)]
 
 
-@lru_cache(maxsize=GRAPH6_MAX_N)
-def _bit_positions(n: int) -> np.ndarray:
-    """Read-only (n, n) positions of each pair's bit among the unpacked bits of a graph6 row.
-
-    A row less 63 unpacks to eight bits a byte, most significant first.
-    Each byte is then below 64, so its first two bits are zero: pair p of
-    :func:`_pair_order` is bit 2 + p % 6 of payload byte p // 6, and a
-    diagonal entry points at the first bit of the size byte.
-    """
-    rows, cols = _pair_order(n)
-    p = np.arange(len(rows))
-    positions = np.zeros((n, n), dtype=np.int64)
-    positions[rows, cols] = positions[cols, rows] = 8 * (1 + p // 6) + 2 + p % 6
-    positions.setflags(write=False)
-    return positions
-
-
 def _graph6_adjacency(codes: np.ndarray, n: int) -> np.ndarray:
-    """(B, n, n) boolean stack of well-formed short graph6 byte rows of order n; padding bits are ignored."""
+    """(B, n, n) boolean stack of well-formed graph6 byte rows of order n; padding bits are ignored."""
     return np.unpackbits(codes - 63, axis=1)[:, _bit_positions(n)].view(bool)
 
 
 def _graph6_order(data: str | bytes) -> tuple[bytes, int]:
-    """The bytes and the order n of a well-formed short-form graph6 string.
+    """The bytes and the order n of a well-formed graph6 string.
 
     The one home of graph6's validation rules: raises :class:`Graph6Error`
     with the byte offset on malformed input.
@@ -228,16 +224,22 @@ def _graph6_order(data: str | bytes) -> tuple[bytes, int]:
     if min(raw) < 63 or max(raw) > 126:
         k = next(i for i, byte in enumerate(raw) if not 63 <= byte <= 126)
         raise Graph6Error(f"byte {raw[k]} outside the printable range [63, 126]", k)
-    if raw[0] == 126:
-        raise Graph6Error("long-form size prefix '~' is not supported", 0)
-    n = raw[0] - 63
+    tildes = 2 if raw[:2] == b"~~" else int(raw[0] == 126)
+    end = tildes + _SIZE_DIGITS[tildes]
+    if len(raw) < end:
+        raise Graph6Error(f"size header needs {end} bytes, got {len(raw)}", len(raw))
+    n = 0
+    for byte in raw[tildes:end]:
+        n = n << 6 | byte - 63
     if n == 0:
         raise Graph6Error("a zero-vertex graph cannot be represented", 0)
-    nbytes = (n * (n - 1) // 2 + 5) // 6
-    if len(raw) - 1 != nbytes:
+    if raw[:end] != _graph6_header(n):
+        raise Graph6Error(f"{end}-byte size header for n={n}, which a shorter header holds", 0)
+    length = _graph6_length(n)
+    if len(raw) != length:
         raise Graph6Error(
-            f"payload for n={n} needs {nbytes} bytes, got {len(raw) - 1}",
-            min(len(raw), 1 + nbytes),
+            f"payload for n={n} needs {length - end} bytes, got {len(raw) - end}",
+            min(len(raw), length),
         )
     return raw, n
 
@@ -250,7 +252,7 @@ def _graph6_stack(strings: list[str], n: int) -> np.ndarray:
 
 
 def parse_graph6(data: str | bytes) -> Graph:
-    """Decode a short-form graph6 byte string into a :class:`Graph`.
+    """Decode a graph6 byte string into a :class:`Graph`.
 
     Raises :class:`Graph6Error` with the byte offset on malformed input.
     """
@@ -259,18 +261,12 @@ def parse_graph6(data: str | bytes) -> Graph:
     return Graph(n=n, adjacency=adj, edge_count=np.count_nonzero(adj) // 2)
 
 
-def _require_short_graph6(n: int) -> None:
-    if n > GRAPH6_MAX_N:
-        raise UnsupportedSizeError(f"short graph6 form supports at most {GRAPH6_MAX_N} vertices, got {n}")
-
-
 def serialize_graph6(g: Graph) -> str:
-    """Encode a graph (n <= 62) as a short-form graph6 string.
+    """Encode a graph as a graph6 string, with the shortest size header that holds its order.
 
     Inverse of :func:`parse_graph6`; padding bits are zero, so the encoding
     is canonical and round-trips bit-exactly.
     """
-    _require_short_graph6(g.n)
     return _graph6_strings(_graph6_codes(g.adjacency[None]))[0]
 
 
@@ -290,8 +286,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
 
 def _cache_distances(g: Graph, dist: np.ndarray) -> None:
-    """Keep a distance matrix computed for g in a stack as ``g.distances``, unless g has one."""
-    g.__dict__.setdefault("distances", dist)
+    """Keep a read-only view of a distance matrix computed for g in a stack as ``g.distances``, unless g has one."""
+    view = dist.view()
+    view.setflags(write=False)
+    g.__dict__.setdefault("distances", view)
 
 
 def _distance_stack(adjacency: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from .graph_core import (
     _graph6_adjacency,
     _graph6_codes,
     _graph6_strings,
-    _require_short_graph6,
     distances_from,
 )
 from .spectral import (
@@ -329,6 +328,12 @@ def _partition_chunk(
     return passing, means[passing], cell, target, flows[rows, :, target], labels[rows] == cell[:, None]
 
 
+def _require_order(g: Graph, dec: SpectralDecomposition) -> None:
+    """Refuse a decomposition of a graph of another order with ValueError."""
+    if dec.n != g.n:
+        raise ValueError(f"the decomposition is of a graph on {dec.n} vertices, not {g.n}")
+
+
 def pseudo_regular_check(
     g: Graph,
     dec: SpectralDecomposition,
@@ -345,6 +350,7 @@ def pseudo_regular_check(
     pair that disagrees, scanning cells in order and picking the
     extreme-valued vertices (lowest id on ties).
     """
+    _require_order(g, dec)
     labels = np.asarray(labels)
     if labels.shape != (g.n,) or not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
         raise ValueError("malformed partition: labels must be one non-negative integer per vertex")
@@ -485,6 +491,7 @@ def _vertex_pass(
     :func:`is_pdr_around` gives them, with ``violations`` as
     :func:`verify_graph` needs them.
     """
+    _require_order(g, dec)
     vertices = np.arange(g.n) if vertices is None else vertices
     spectra = _SpectralStack.of(dec)
     rows = _vertex_block(g.adjacency[None], g.distances[None], spectra, vertices, tol, violations is not None)
@@ -736,8 +743,10 @@ def walk_formula_check(
     against the exact integer walk count, elementwise when u and v are
     index arrays. ``powers`` may carry precomputed integer adjacency powers
     and ``table`` the spectral closed-walk table up to length + 1. Raises
-    ValueError on a vertex out of range or a pair that is not adjacent.
+    ValueError on a decomposition of another order, a vertex out of range
+    or a pair that is not adjacent.
     """
+    _require_order(g, dec)
     u, v = np.broadcast_arrays(u, v)
     ends = np.stack((u, v))
     if ends.size and not 0 <= ends.min() <= ends.max() < g.n:
@@ -823,6 +832,7 @@ def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig =
     ``walk_biregular`` when the graph is bipartite and they are constant on
     each part, ``neither`` otherwise.
     """
+    _require_order(g, dec)
     mults = dec.local_multiplicity_matrix()
 
     def constant_on(labels: np.ndarray) -> bool:
@@ -975,8 +985,7 @@ def verify_graph(g: Graph, tol: ToleranceConfig = DEFAULT_TOL) -> GraphCheckResu
     with its integer oracles, and the adjacent-pair walk identities. Returns
     every failed check tagged by name; an empty tuple means the graph
     passed everything. A disconnected graph or a numerical failure is a
-    tagged violation too, so one bad graph never aborts a corpus run. Past
-    short graph6 (n > 62) it raises :class:`UnsupportedSizeError`. The
+    tagged violation too, so one bad graph never aborts a corpus run. The
     one-graph case of :func:`verify_graphs`.
     """
     return verify_graphs([g], tol)[0]
@@ -991,11 +1000,8 @@ def verify_graphs(graphs: Sequence[Graph], tol: ToleranceConfig = DEFAULT_TOL) -
     (graph, vertex) pairs. A graph with a violation or a numerical error at
     a vertex leaves the stack for its rows' violations, and only a graph
     that passes the test at every vertex goes on to :func:`classify` and
-    the walk formulas. Raises :class:`UnsupportedSizeError` past short
-    graph6 (n > 62), before any other work.
+    the walk formulas.
     """
-    for n in {g.n for g in graphs}:
-        _require_short_graph6(n)
     results: list[GraphCheckResult] = []
     for n, run in groupby(graphs, key=lambda g: g.n):
         run = list(run)

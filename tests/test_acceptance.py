@@ -55,10 +55,10 @@ TOL = ToleranceConfig(
 
 CRITERION_CHECKS = {
     1: ("decompose", "connectivity", "numerical", "dichotomy", "classification_internal", "fourier_match"),
-    2: ("equivalence", "extremality"),
+    2: ("equivalence",),
     3: ("closed_walk_identity", "multiplicity_sum"),
     4: ("pd_orthogonality", "pd_normalization", "pd_closed_forms", "pd_recurrence"),
-    7: ("walk_formula", "neighbor_alpha", "sum_rule"),
+    7: ("walk_formula", "sum_rule"),
     8: ("round_trip",),
 }
 ALL_TAGGED = tuple(t for tags in CRITERION_CHECKS.values() for t in tags) + (

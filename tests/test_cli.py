@@ -50,10 +50,10 @@ ANALYZE_LARGE_SHA256 = "3abbf3f0d78e06c9ef58e3b77766486ad9ca4ce20f8f0e6a90089571
 # The public API, in pdrkit.__all__ order: adding or removing a name is a
 # deliberate edit of this list.
 PUBLIC_API = [
-    "Bipartition", "Classification", "ConnectivityError", "DEFAULT_TOL", "GRAPH6_MAX_N", "Graph", "Graph6Error",
+    "Bipartition", "Classification", "ConnectivityError", "DEFAULT_TOL", "Graph", "Graph6Error",
     "GraphCheckResult", "GroupingAmbiguityError", "IllConditionedMeasureError", "InternalCheckError",
     "IntersectionArray", "LocalSpectrum", "NAMED_FAMILIES", "NumericalError", "PartitionWitness", "PdrVertexReport",
-    "PredistanceSystem", "QuotientMatrix", "SpectralDecomposition", "ToleranceConfig", "UnsupportedSizeError",
+    "PredistanceSystem", "QuotientMatrix", "SpectralDecomposition", "ToleranceConfig",
     "VERDICT_DISTANCE_BIREGULAR", "VERDICT_DISTANCE_REGULAR", "VERDICT_NOT_PDR", "Violation", "WALK_BIREGULAR",
     "WALK_NEITHER", "WALK_REGULAR", "adjacency_powers", "bipartition", "build_predistance", "classify",
     "combinatorial_intersection_array", "decompose", "distances_from", "enumerate_connected", "generate_named",
@@ -370,6 +370,23 @@ def test_verify_jobs_output_identical(capsys):
     assert out1 == out2
 
 
+def test_verify_corpus_mixes_short_and_long_lines(capsys, tmp_path):
+    # Runs of one order alternate between graph6's short and '~' forms.
+    long = [serialize_graph6(generate_named(*spec)) for spec in [("cycle", 63), ("hypercube", 6)]]
+    lines = ["Bw", long[0], long[0], "C~", long[1], "Bw"]
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("\n".join(lines) + "\n", encoding="ascii")
+    runs = [run_cli(capsys, "verify", str(corpus), "--per-graph", "--jobs", jobs) for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "")
+    *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["graph6"], r["verdict"], r["violations"]) for r in records] == [
+        (s, "distance_regular", []) for s in lines
+    ]
+    assert summary["total"] == 6 and summary["distance_regular"] == 6
+
+
 # --- exit codes ----------------------------------------------------------------
 
 
@@ -441,29 +458,25 @@ def test_non_integer_named_parameter_names_the_spec(capsys, spec):
     assert err == f"input error: named spec '{spec}': parameters must be integers\n"
 
 
-def test_exit_code_unsupported_size(capsys):
-    # 128 vertices exceeds the short graph6 form used in reports.
-    code, _, _ = run_cli(capsys, "analyze", "--named", "hypercube:7")
-    assert code == 2
+@pytest.mark.parametrize("spec", ["hypercube:7", "cycle:63"])
+def test_analyze_past_short_graph6(capsys, spec):
+    # Past n = 62 the report echoes its input in graph6's '~' long form,
+    # and that string reads back to the same report.
+    family, params = spec.split(":")
+    g = generate_named(family, int(params))
+    code, out, err = run_cli(capsys, "analyze", "--named", spec)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["input"] == serialize_graph6(g) and doc["input"].startswith("~")
+    assert doc["n"] == g.n and doc["classification"]["verdict"] == "distance_regular"
+    assert run_cli(capsys, "analyze", doc["input"]) == (0, out, "")
 
 
-def test_analyze_past_short_graph6_does_no_spectral_work(capsys, monkeypatch):
-    # n = 63 is past the short graph6 form that the report echoes its input in.
-    called = []
-    for name in ("decompose", "classify"):
-        monkeypatch.setattr(pdrkit.cli, name, lambda *args, _name=name, **kwargs: called.append(_name))
-    code, out, err = run_cli(capsys, "analyze", "--named", "cycle:63")
-    assert code == 2 and out == "" and "62" in err
-    assert called == []
-
-
-def test_spectrum_past_short_graph6_does_no_spectral_work(capsys, monkeypatch):
-    called = []
-    for name in ("decompose", "local_spectrum", "build_predistance"):
-        monkeypatch.setattr(pdrkit.cli, name, lambda *args, _name=name, **kwargs: called.append(_name))
+def test_spectrum_past_short_graph6(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--named", "cycle:63", "--vertex", "0")
-    assert code == 2 and out == "" and "62" in err
-    assert called == []
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["input"] == serialize_graph6(generate_named("cycle", 63)) and doc["local_spectrum"]["eccentricity"] == 31
 
 
 class RecordingExecutor:

@@ -10,7 +10,6 @@ from pdrkit import (
     ConnectivityError,
     Graph,
     Graph6Error,
-    UnsupportedSizeError,
     adjacency_powers,
     bipartition,
     distances_from,
@@ -87,7 +86,10 @@ def test_parse_matches_networkx():
     "data, offset",
     [
         ("", 0),
-        ("~??", 0),  # long form prefix
+        ("~??", 3),  # long size header cut short
+        ("~??}", 0),  # '~' header for n = 62, which one byte holds
+        ("~~?????~", 0),  # '~~' header for n = 63, which '~' holds
+        ("~??~" + "?" * 5, 9),  # n = 63 needs 326 payload bytes
         ("?", 0),  # zero vertices
         ("B", 1),  # payload too short
         ("A__", 2),  # payload too long
@@ -123,9 +125,30 @@ def test_serialize_known_strings():
     assert serialize_graph6(generate_named("complete", 1)) == "@"
 
 
-def test_serialize_rejects_large_graphs():
-    with pytest.raises(UnsupportedSizeError):
-        serialize_graph6(generate_named("complete_bipartite", 31, 32))
+def test_serialize_long_form_matches_networkx():
+    # Past n = 62 the header is '~' and n in three six-bit bytes.
+    nx = pytest.importorskip("networkx")
+    specs = [("cycle", 63), ("complete_bipartite", 31, 32), ("hypercube", 6), ("hypercube", 7), ("path", 100)]
+    graphs = [generate_named(*spec) for spec in specs]
+    rng = np.random.default_rng(63)
+    for _ in range(12):
+        n = int(rng.integers(63, 131))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.triu_indices(n, 1)] = rng.random(n * (n - 1) // 2) < 0.3
+        graphs.append(Graph.from_adjacency(adj | adj.T))
+    for g in graphs:
+        s = serialize_graph6(g)
+        assert s.encode("ascii") == nx.to_graph6_bytes(nx.from_numpy_array(g.adjacency), header=False).rstrip(b"\n")
+        assert parse_graph6(s) == g
+
+
+def test_size_headers_match_networkx():
+    # One byte up to n = 62, '~' and 18 bits up to 258,047, '~~' and 36 bits beyond.
+    n_to_data = pytest.importorskip("networkx.readwrite.graph6").n_to_data
+    from pdrkit.graph_core import _graph6_header
+
+    for n in [1, 62, 63, 258047, 258048]:
+        assert _graph6_header(n) == bytes(63 + d for d in n_to_data(n))
 
 
 def test_round_trip_exhaustive_small():

@@ -286,6 +286,25 @@ def test_walk_formula_rejects_vertices_out_of_range():
             walk_formula_check(g, dec, u, v, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, dec: walk_formula_check(g, dec, 0, 1, 2),
+        lambda g, dec: is_pdr_around(g, dec, 0),
+        lambda g, dec: classify(g, dec=dec),
+        lambda g, dec: pseudo_regular_check(g, dec, distances_from(g, 0)),
+        lambda g, dec: walk_regularity(g, dec),
+    ],
+    ids=["walk_formula_check", "is_pdr_around", "classify", "pseudo_regular_check", "walk_regularity"],
+)
+def test_decomposition_of_another_order_is_refused(call):
+    # Without the check these end in numpy broadcasting or IndexError, or
+    # in residuals computed from the wrong spectrum.
+    g, dec = generate_named("petersen"), decompose(generate_named("cycle", 12))
+    with pytest.raises(ValueError, match="^the decomposition is of a graph on 12 vertices, not 10$"):
+        call(g, dec)
+
+
 @pytest.mark.parametrize("spec", [("petersen",), ("complete_bipartite", 2, 3)])
 def test_walk_formula_index_arrays_match_scalar_calls(spec):
     g, dec = prepared(generate_named(*spec))

@@ -16,7 +16,6 @@ from pdrkit import (
     Graph,
     GroupingAmbiguityError,
     IllConditionedMeasureError,
-    UnsupportedSizeError,
     decompose,
     enumerate_connected,
     generate_named,
@@ -149,11 +148,29 @@ def test_eigensolver_failure_stays_with_its_graph(monkeypatch):
     assert [as_tuple(r) for r in verify_graphs(graphs)] == want
 
 
-def test_verify_graphs_refuses_past_short_graph6_before_any_work(monkeypatch):
-    monkeypatch.setattr(pdr, "_verify_stack", None)  # must not be reached
-    with pytest.raises(UnsupportedSizeError):
-        verify_graphs([generate_named("petersen"), generate_named("cycle", 63)])
-    assert verify_graphs([]) == []
+def test_verify_graphs_past_short_graph6():
+    # cycle:63 is named by graph6's '~' long form.
+    graphs = [generate_named("petersen"), generate_named("cycle", 63)]
+    want = [(serialize_graph6(g), "distance_regular", True, ()) for g in graphs]
+    assert [as_tuple(r) for r in verify_graphs(graphs)] == want
+    assert want[1][0].startswith("~") and verify_graphs([]) == []
+
+
+def test_classify_reads_read_only_distances(monkeypatch):
+    # A graph that leaves the stack before the vertex pass (CQ is
+    # disconnected) makes the stack's distances a fancy-indexed copy; the
+    # graph that goes on to classify must still see read-only distances.
+    writeable = []
+    classify = pdr.classify
+
+    def record(g, *args, **kwargs):
+        writeable.append(g.distances.flags.writeable)
+        return classify(g, *args, **kwargs)
+
+    monkeypatch.setattr(pdr, "classify", record)
+    for corpus in (["CQ", "C~"], ["C~"]):
+        assert verify_graphs([parse_graph6(s) for s in corpus])[-1].verdict == "distance_regular"
+    assert writeable == [False, False]
 
 
 def test_stacks_follow_the_entry_budget(monkeypatch):
