@@ -13,7 +13,7 @@ verdicts are re-verified against exact integer counting oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 from typing import Sequence
@@ -728,7 +728,7 @@ def walk_formula_check(
     dec: SpectralDecomposition,
     u: int | np.ndarray,
     v: int | np.ndarray,
-    length: int,
+    length: int | np.ndarray,
     powers: list[np.ndarray] | np.ndarray | None = None,
     *,
     table: np.ndarray | None = None,
@@ -740,14 +740,23 @@ def walk_formula_check(
     length between them equals
     (perron[v]/perron[u]) / lambda0 * sum_i m_u(lambda_i) lambda_i^(length+1),
     and symmetrically with u and v swapped. Returns both absolute residuals
-    against the exact integer walk count, elementwise when u and v are
-    index arrays. ``powers`` may carry precomputed integer adjacency powers
-    and ``table`` the spectral closed-walk table up to length + 1. Raises
-    ValueError on a decomposition of another order, a vertex out of range
+    against the exact integer walk count, elementwise over u, v and
+    ``length`` broadcast together, so one call can take every edge at every
+    length. ``powers`` may carry precomputed integer adjacency powers
+    A^0..A^k and ``table`` the spectral closed-walk table up to some length
+    k + 1, for k at least the longest length. Raises ValueError on a
+    decomposition of another order, a length that is negative, not an
+    integer or past the ``powers`` or ``table`` given, a vertex out of range
     or a pair that is not adjacent.
     """
     _require_order(g, dec)
-    u, v = np.broadcast_arrays(u, v)
+    length = np.asarray(length)
+    if not np.issubdtype(length.dtype, np.integer):
+        raise ValueError(f"walk length must be an integer, not {length.dtype}")
+    if length.size and length.min() < 0:
+        raise ValueError(f"walk length {length.min()} is negative")
+    longest = int(length.max(initial=0))
+    u, v, length = np.broadcast_arrays(u, v, length)
     ends = np.stack((u, v))
     if ends.size and not 0 <= ends.min() <= ends.max() < g.n:
         bad = ends[(ends < 0) | (ends >= g.n)]
@@ -757,15 +766,16 @@ def walk_formula_check(
         k = int(np.argmax(apart))
         raise ValueError(f"vertices {u.flat[k]} and {v.flat[k]} are not adjacent")
     if powers is None:
-        powers = adjacency_powers(g, length)
+        powers = adjacency_powers(g, longest)
     if table is None:
-        table = _closed_walk_table(dec.eigenvalues, dec.local_multiplicity_matrix(), length + 1)
-    truth = powers[length][u, v].astype(float)
-    spectral = table[:, length + 1]
+        table = _closed_walk_table(dec.eigenvalues, dec.local_multiplicity_matrix(), longest + 1)
+    if longest >= len(powers) or longest + 1 >= table.shape[-1]:
+        raise ValueError(f"walk length {longest} is past the adjacency powers or walk table given")
+    truth = np.asarray(powers)[length, u, v].astype(float)
     alpha = dec.perron
     lam0 = dec.spectral_radius
-    res_u = np.abs(truth - (alpha[v] / alpha[u]) / lam0 * spectral[u])
-    res_v = np.abs(truth - (alpha[u] / alpha[v]) / lam0 * spectral[v])
+    res_u = np.abs(truth - (alpha[v] / alpha[u]) / lam0 * table[u, length + 1])
+    res_v = np.abs(truth - (alpha[u] / alpha[v]) / lam0 * table[v, length + 1])
     return res_u, res_v
 
 
@@ -773,44 +783,41 @@ def _level_counts(g: Graph, vertices: np.ndarray) -> np.ndarray:
     """Exact (down, stay, up) neighbor counts in the distance partition around each of ``vertices``.
 
     Entry (r, v) counts the neighbors of v one level down, on v's level,
-    and one level up, around vertices[r]. Each row's neighbor counts into
-    every level come from one product of the adjacency with the row's level
-    one-hot, a chunk of :func:`_row_chunks` at a time; the float64 sums of
-    at most n ones are exact.
+    and one level up, around vertices[r]. Every edge of a distance
+    partition joins levels at most one apart, so with d the row's distances
+    and s1 = A·d, s2 = A·d², the neighbors w of v give up − down =
+    sum (d_w − d_v) = s1 − d·deg and up + down = sum (d_w − d_v)² =
+    s2 − 2d·s1 + d²·deg, and stay is the rest of the degree. Every term is
+    an integer of at most n·ecc² < n³, so the float64 products are exact.
     """
-    out = []
-    adjacency = g.adjacency_matrix()
-    levels = np.arange(-1, int(g.distances[vertices].max()) + 2)  # -1 .. eccentricity + 1
-    for rows in _row_chunks(len(vertices), len(vertices), g.n * len(levels)):
-        dist = g.distances[vertices[rows]]
-        onehot = (dist[:, :, None] == levels).astype(float)
-        into = adjacency @ onehot  # (rows, v, level + 1): neighbors of v on each level
-        out.append(np.take_along_axis(into, dist[:, :, None] + np.arange(3), axis=2))
-    return np.concatenate(out).astype(np.int64)
+    d = g.distances[vertices].astype(float)
+    s1, s2 = np.stack((d, d * d)) @ g.adjacency_matrix()  # A is symmetric: row r is A·d, A·d²
+    deg = g.degrees
+    diff = s1 - d * deg
+    moves = s2 - 2 * d * s1 + d * d * deg
+    return np.stack(((moves - diff) / 2, deg - moves, (moves + diff) / 2), axis=2).astype(np.int64)
 
 
-def _intersection_arrays(g: Graph, vertices: np.ndarray) -> tuple[list[IntersectionArray | None], np.ndarray]:
-    """:func:`combinatorial_intersection_array` at each of ``vertices``, from one
-    batched count, and that count as one array: entry (r, i) holds the (down,
-    stay, up) counts of level i around ``vertices[r]`` (of the level's lowest
-    vertex where they differ), zero past its eccentricity."""
-    counts = _level_counts(g, vertices)
+def _intersection_arrays(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry (r, i) holds the (down, stay, up) counts of level i around ``vertices[r]``, zero past
+    its eccentricity, and entry r of the second array tells whether the counts are constant on
+    every level: one :func:`_cell_spread` over the (row, level) cells. Where a count differs on a
+    level, the entry holds its largest value there."""
+    counts = _level_counts(g, vertices).reshape(-1, 3)
     dist = g.distances[vertices]
-    ecc = dist.max(axis=1)
-    # Each level's counts are those of its lowest vertex; the array exists
-    # when every vertex of the level has them.
-    lowest = np.argmax(dist[:, None, :] == np.arange(int(ecc.max()) + 1)[:, None], axis=2)
-    levels = np.take_along_axis(counts, lowest[:, :, None], axis=1)
-    levels[np.arange(levels.shape[1]) > ecc[:, None]] = 0
-    regular = (np.take_along_axis(levels, dist[:, :, None], axis=1) == counts).all(axis=(1, 2))
-    arrays: list[IntersectionArray | None] = []
-    for ok, e, counted in zip(regular.tolist(), ecc.tolist(), levels.tolist()):
-        if not ok:
-            arrays.append(None)
-            continue
-        down, stay, up = zip(*counted[: e + 1])
-        arrays.append(IntersectionArray(b=up[:-1], c=down[1:], a=stay, part=None))
-    return arrays, levels
+    R, L = len(dist), int(dist.max()) + 1
+    key = (dist + L * np.arange(R)[:, None]).ravel()  # (row, level) as one label
+    levels = np.zeros((R * L, 3), dtype=np.int64)
+    np.maximum.at(levels, key, counts)
+    regular = ~_cell_spread(counts, key, R * L).reshape(R, L * 3).any(axis=1)
+    return levels.reshape(R, L, 3), regular
+
+
+def _intersection_array(levels: np.ndarray, part: int | None = None) -> IntersectionArray:
+    """The array of a row of :func:`_intersection_arrays`, whose levels past 0 and up to the
+    eccentricity are those with a down count."""
+    down, stay, up = levels[: 1 + np.count_nonzero(levels[:, 0])].T.tolist()
+    return IntersectionArray(b=tuple(up[:-1]), c=tuple(down[1:]), a=tuple(stay), part=part)
 
 
 def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | None:
@@ -822,7 +829,8 @@ def combinatorial_intersection_array(g: Graph, u: int) -> IntersectionArray | No
     the batched count that :func:`classify` makes.
     """
     distances_from(g, u)  # validates u and connectivity
-    return _intersection_arrays(g, np.array([u]))[0][0]
+    (levels,), (regular,) = _intersection_arrays(g, np.array([u]))
+    return _intersection_array(levels) if regular else None
 
 
 def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> str:
@@ -866,12 +874,16 @@ def classify(
     sqrt(n / (P * n_p)), for a part of n_p vertices. Every vertex's
     pseudo-intersection numbers must then be the Perron-ratio transform of
     its integer array, read with those part levels. Violations of those
-    guarantees are internal errors, not verdicts.
+    guarantees are internal errors, not verdicts. Raises ValueError unless
+    ``reports`` holds exactly one report per vertex of ``g``.
     """
     if dec is None:
         dec = decompose(g, tol)
     if reports is None:
         reports = _vertex_pass(g, dec, tol)
+    vertices = np.array([r.vertex for r in reports], dtype=np.int64)
+    if not np.array_equal(np.sort(vertices), np.arange(g.n)):
+        raise ValueError(f"classify needs one report per vertex of a graph on {g.n} vertices")
     wreg = walk_regularity(g, dec, tol)
 
     failing = [r.vertex for r in reports if not r.is_pdr]
@@ -893,16 +905,16 @@ def classify(
         side = bp.side
     P = int(side.max()) + 1
     verdict, walk = ((VERDICT_DISTANCE_REGULAR, WALK_REGULAR), (VERDICT_DISTANCE_BIREGULAR, WALK_BIREGULAR))[P - 1]
-    arrays, counts = _intersection_arrays(g, np.arange(g.n))
+    counts, regular = _intersection_arrays(g, np.arange(g.n))
     members = [np.flatnonzero(side == p) for p in range(P)]
     part_arrays = []
     for p, part in enumerate(members):
-        found = {arrays[v] for v in part}
-        if None in found or len(found) != 1:
+        # Zero past the eccentricity, so equal counts are equal arrays.
+        if not regular[part].all() or (counts[part] != counts[part[0]]).any():
             raise InternalCheckError(
                 f"all-PDR graph failed the integer distance-regularity oracle: unequal arrays on part {p}"
             )
-        part_arrays.append(replace(found.pop(), part=None if P == 1 else p))
+        part_arrays.append(_intersection_array(counts[part[0]], None if P == 1 else p))
     if wreg != walk:
         raise InternalCheckError(f"{verdict.replace('_', '-')} graph is not {walk.replace('_', '-')}")
     # The Perron levels use eps_alpha unscaled: the Perron vector has squared
@@ -921,7 +933,6 @@ def classify(
             )
         levels.append(level)
 
-    vertices = np.array([r.vertex for r in reports])
     triples = [r.quotient.tridiagonal() for r in reports]
     res = _transform_residuals(np.array(levels), side[vertices], triples, counts[vertices])
     wide = res.max(axis=(1, 2)) > tol.scaled("eps_pdr", dec.spectral_radius)
@@ -1058,7 +1069,7 @@ def _verify_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> list[GraphChec
             elif not failing[j]:
                 # Every vertex passed: classify checks the theorem's outcome
                 # against its integer oracles, and then come the adjacent-pair
-                # walk formulas, all edges per length, reported edge by edge.
+                # walk formulas, every edge at every length in one call, reported edge by edge.
                 g, verdict, all_pdr = Graph.from_adjacency(adjacency[j]), None, True
                 _cache_distances(g, distances[j])
                 try:
@@ -1067,11 +1078,9 @@ def _verify_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> list[GraphChec
                     found[b].append(Violation("classification_internal", str(exc)))
                 else:
                     us, vs = np.nonzero(np.triu(g.adjacency, 1))
-                    walks = powers[:, j]
                     lengths = range(_WALK_CHECK_MAX_LENGTH + 1)
-                    worst = np.transpose(
-                        [np.maximum(*walk_formula_check(g, dec, us, vs, L, walks, table=table[j])) for L in lengths]
-                    )
+                    res = walk_formula_check(g, dec, us[:, None], vs[:, None], lengths, powers[:, j], table=table[j])
+                    worst = np.maximum(*res)  # (edge, length)
                     bounds = [tol.scaled("eps_walk", dec.spectral_radius, L) for L in lengths]
                     for e, length in np.argwhere(worst > bounds):
                         detail = f"edge ({us[e]}, {vs[e]}), length {length}: residual {worst[e, length]:.3e}"

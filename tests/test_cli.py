@@ -710,6 +710,25 @@ def test_single_graph_subcommands_exit_quietly_when_stdout_is_closed(argv):
     assert proc.stderr == b""
 
 
+def test_traced_cli_matches_the_plain_cli_and_leaves_worker_spans(tmp_path):
+    # The benchmark runs verify under its outside-in tracer, which sees only
+    # public pdrkit functions, and needs every run to leave worker spans; on
+    # the n = 5 corpus the workers' spans come from classify and the walk
+    # formulas on the all-PDR graphs. The tracer must not change the output.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(pdrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["verify", "--enumerate", "5", "--jobs", "2", "--per-graph"]
+    script = os.path.join(root, "perfbench", "traced_cli.py")
+    plain = subprocess.run([sys.executable, "-m", "pdrkit", *argv], capture_output=True, env=env, timeout=120)
+    traced = subprocess.run([sys.executable, script, str(tmp_path), *argv], capture_output=True, env=env, timeout=120)
+    assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr
+    assert traced.stdout == plain.stdout
+    workers = list(tmp_path.glob("worker-*.jsonl"))
+    names = {json.loads(line)[0] for path in workers for line in path.read_text().splitlines()}
+    assert "pdr.classify" in names
+
+
 def test_render_rejects_non_finite():
     from pdrkit.cli import _render_json
 

@@ -38,7 +38,7 @@ from pdrkit import (
     walk_formula_check,
     walk_regularity,
 )
-from pdrkit.pdr import _intersection_arrays, _transform_residuals
+from pdrkit.pdr import _closed_walk_table, _intersection_arrays, _transform_residuals
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -330,6 +330,42 @@ def test_walk_formula_violations_edge_major():
     assert got and got == want
 
 
+def test_walk_formula_broadcasts_lengths_against_the_pairs():
+    g, dec = prepared(generate_named("complete_bipartite", 2, 3))
+    us, vs = np.nonzero(np.triu(g.adjacency, 1))
+    res_u, res_v = walk_formula_check(g, dec, us[:, None], vs[:, None], range(7))
+    assert res_u.shape == res_v.shape == (len(us), 7)
+    for length in range(7):
+        one_u, one_v = walk_formula_check(g, dec, us, vs, length)
+        assert np.array_equal(res_u[:, length], one_u) and np.array_equal(res_v[:, length], one_v)
+
+
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        (-1, "walk length -1 is negative"),
+        (np.array([2, -3]), "walk length -3 is negative"),
+        (2.0, "walk length must be an integer, not float64"),
+        (4, "walk length 4 is past the adjacency powers or walk table given"),
+    ],
+    ids=["negative", "negative-in-array", "float", "past-powers"],
+)
+def test_walk_formula_rejects_bad_lengths(length, message):
+    # Without the check -1 read A^3 and the table's length-0 column, and a
+    # length past the powers ended in IndexError.
+    g, dec = prepared(generate_named("petersen"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        walk_formula_check(g, dec, 0, 1, length, adjacency_powers(g, 3))
+
+
+def test_walk_formula_rejects_a_length_past_the_table():
+    g, dec = prepared(generate_named("petersen"))
+    table = _closed_walk_table(dec.eigenvalues, dec.local_multiplicity_matrix(), 3)  # lengths 0..2
+    assert max(walk_formula_check(g, dec, 0, 1, 2, adjacency_powers(g, 3), table=table)) < 1e-9
+    with pytest.raises(ValueError, match="^walk length 3 is past the adjacency powers or walk table given$"):
+        walk_formula_check(g, dec, 0, 1, 3, adjacency_powers(g, 3), table=table)
+
+
 # --- combinatorial oracle ---------------------------------------------------------
 
 
@@ -472,6 +508,41 @@ def test_intersection_array_matches_loop_reference():
                 assert got == loop_intersection_array(g, u)
 
 
+def test_distance_regular_verdicts_match_networkx():
+    # Differential oracle: on every connected regular graph with n <= 6 and on
+    # the catalog, classify finds a distance-regular graph exactly when
+    # networkx does, with the same intersection array. networkx refuses any
+    # graph of diameter above 8 log2(n) / 3, so its answer on a cycle longer
+    # than 26 is wrong; cycle:40 is checked against its textbook array.
+    nx = pytest.importorskip("networkx")
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n) if g.degrees.min() == g.degrees.max()]
+    assert len(graphs) == 166
+    catalog = [
+        ("petersen",),
+        ("complete", 8),
+        ("complete_bipartite", 4, 4),
+        ("complete_bipartite", 3, 7),
+        ("hypercube", 4),
+        ("cycle", 13),
+        ("cycle", 20),
+        ("path", 8),
+    ]
+    graphs += [generate_named(*spec) for spec in catalog]
+    regular = 0
+    for g in graphs:
+        h = nx.from_numpy_array(g.adjacency.astype(int))
+        cls = classify(g)
+        assert (cls.verdict == VERDICT_DISTANCE_REGULAR) == nx.is_distance_regular(h)
+        if cls.verdict == VERDICT_DISTANCE_REGULAR:
+            regular += 1
+            (arr,) = cls.intersection_arrays
+            b, c = nx.intersection_array(h)
+            assert (arr.b, arr.c) == (tuple(b), tuple(c))
+    assert regular == 106 + 6
+    (arr,) = classify(generate_named("cycle", 40)).intersection_arrays
+    assert (arr.b, arr.c) == ((2,) + (1,) * 19, (1,) * 19 + (2,))
+
+
 # --- transform consistency -------------------------------------------------------
 # classify compares each vertex's pseudo-intersection numbers with the
 # Perron-ratio transform of its integer counts, in one operation for every
@@ -482,8 +553,8 @@ def transform_residuals(g, dec, u):
     """(down, stay, up) residuals per level 0..eccentricity at u."""
     report = is_pdr_around(g, dec, u)
     assert report.is_pdr
-    arrays, counts = _intersection_arrays(g, np.array([u]))
-    assert arrays[0] is not None
+    counts, regular = _intersection_arrays(g, np.array([u]))
+    assert regular[0]
     levels = np.array(classify(g, dec=dec).alpha_levels)  # one per part
     sides = np.zeros(1, dtype=np.int64) if len(levels) == 1 else g.bipartition.side[[u]]
     res = _transform_residuals(levels, sides, [report.quotient.tridiagonal()], counts)
@@ -509,6 +580,22 @@ def test_transform_k23_degree3_side():
     g, dec = prepared(generate_named("complete_bipartite", 2, 3))
     res = transform_residuals(g, dec, 0)
     assert float(res.max()) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["path5-one-report", "path5-no-reports", "petersen-twice"])
+def test_classify_needs_one_report_per_vertex(case):
+    # Without the check, one report of path:5 ended in InternalCheckError, no
+    # reports in numpy's IndexError, and Petersen's reports listed twice
+    # still gave distance_regular.
+    g = generate_named("petersen") if case == "petersen-twice" else generate_named("path", 5)
+    dec = decompose(g)
+    reports = {
+        "path5-one-report": [is_pdr_around(g, dec, 0)],
+        "path5-no-reports": [],
+        "petersen-twice": [is_pdr_around(g, dec, u) for u in range(g.n)] * 2,
+    }[case]
+    with pytest.raises(ValueError, match=f"^classify needs one report per vertex of a graph on {g.n} vertices$"):
+        classify(g, dec=dec, reports=reports)
 
 
 def test_transform_rejects_irregular_vertex():
@@ -864,8 +951,8 @@ def test_each_per_graph_fact_is_computed_once(monkeypatch, entry, spec):
         assert calls[name] == 0, name
     # The all-PDR branch ran, and counted every vertex's neighbors in one batch.
     assert calls["_level_counts"] == 1 and calls["combinatorial_intersection_array"] == 0
-    # One call per walk length, over all edges at once.
-    assert calls["walk_formula_check"] == (7 if entry is _verify else 0)
+    # One call for every edge at every walk length.
+    assert calls["walk_formula_check"] == (1 if entry is _verify else 0)
 
 
 def test_batched_level_counts_match_one_row_at_every_vertex():
@@ -875,9 +962,13 @@ def test_batched_level_counts_match_one_row_at_every_vertex():
     catalog = [("petersen",), ("cycle", 40), ("path", 40), ("hypercube", 5), ("complete_bipartite", 10, 20)]
     graphs += [generate_named(*spec) for spec in catalog]
     for g in graphs:
-        batched, levels = pdr._intersection_arrays(g, np.arange(g.n))
-        assert batched == [combinatorial_intersection_array(g, u) for u in range(g.n)]
-        assert batched == [pdr._intersection_arrays(g, np.array([u]))[0][0] for u in range(g.n)]
+        levels, regular = pdr._intersection_arrays(g, np.arange(g.n))
+        batched = [combinatorial_intersection_array(g, u) for u in range(g.n)]
+        assert regular.tolist() == [a is not None for a in batched]
+        for u in range(g.n):
+            one, one_regular = pdr._intersection_arrays(g, np.array([u]))
+            assert one_regular.tolist() == [regular[u]] and np.array_equal(one[0], levels[u, : one.shape[1]])
+            assert not levels[u, one.shape[1] :].any()
         # The count array holds each array's (down, stay, up) levels, zero past the eccentricity.
         for u, a in enumerate(batched):
             if a is not None:

@@ -315,8 +315,8 @@ def test_blocks_stay_under_the_entry_budget(monkeypatch):
     pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
     assert [c[3] for c in chunks] == [[(0, 6)], [(0, 6)]]
 
-    # complete:30 has two cells around every vertex: its partition check and
-    # the integer level counts of classify (levels -1 .. 2) each fit one chunk.
+    # complete:30 has two cells around every vertex: its partition check fits
+    # one chunk, and the integer level counts of classify take no chunks.
     chunks.clear()
     partition.clear()
     g = generate_named("complete", 30)
@@ -326,7 +326,7 @@ def test_blocks_stay_under_the_entry_budget(monkeypatch):
     assert all(rows * n * m <= spectral._BLOCK_ENTRIES for _, rows, n, m in partition)
     chunks.clear()
     assert classify(g, dec=dec, reports=reports).verdict == "distance_regular"
-    assert chunks == [(30, 30, 30 * 4, [(0, 30)])] and 30 * 30 * 4 <= spectral._BLOCK_ENTRIES
+    assert chunks == []
 
 
 @pytest.mark.parametrize("case", ["verify_graph cycle:40", "_vertex_pass path:40", "verify_graphs n=6 stack"])
