@@ -14,7 +14,7 @@ verdicts are re-verified against exact integer counting oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, groupby
 from typing import Sequence
 
@@ -186,23 +186,40 @@ class GraphCheckResult:
     violations: tuple[Violation, ...]
 
 
-def _cell_spread(values: np.ndarray, labels: np.ndarray, cells: int | None = None) -> np.ndarray:
-    """Max minus min of ``values`` along axis 0 over each cell of a label row.
+def _cell_reduce(values: np.ndarray, labels: np.ndarray, cells: int | None = None) -> tuple[np.ndarray, ...]:
+    """Spread (max minus min), maximum and sum of ``values`` along axis 0 over each cell of a label row.
 
-    Row c of the result belongs to cell c, of ``cells`` (default: one past
-    the largest label); an empty cell reads zero. One segment reduction
-    over the vertices sorted by cell.
-    """
+    Row c of each belongs to cell c, of ``cells`` (default: one past the largest label), zero if
+    the cell is empty: the extremes from one segment reduction over the vertices sorted by cell,
+    the sums from one bincount, which adds each cell's members in id order."""
     order = labels.argsort(kind="stable")
     ordered = labels[order]
     starts = np.concatenate(([True], ordered[1:] != ordered[:-1])).nonzero()[0]
     block = values[order]
-    present = np.maximum.reduceat(block, starts)
-    present -= np.minimum.reduceat(block, starts)
-    del block
-    spread = np.zeros((int(ordered[-1]) + 1 if cells is None else cells, *values.shape[1:]))
-    spread[ordered[starts]] = present
-    return spread
+    top = np.maximum.reduceat(block, starts)
+    low = np.minimum.reduceat(block, starts)
+    del block, order
+    cells = int(ordered[-1]) + 1 if cells is None else cells
+    spread, maximum = np.zeros((2, cells, *values.shape[1:]), dtype=values.dtype)
+    spread[ordered[starts]], maximum[ordered[starts]] = np.subtract(top, low, out=low), top
+    del top, low
+    width = values[:1].size
+    key = ((labels * width)[:, None] + np.arange(width)).ravel()  # (cell, entry) as one label
+    total = np.bincount(key, weights=values.ravel(), minlength=cells * width).reshape(spread.shape)
+    return spread, maximum, total
+
+
+@lru_cache(maxsize=64)
+def _band_pairs(m: int, band: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the (cell, target) pairs of m cells within β = ``band`` lie, shared and never written:
+    ``scan`` gives the (cell, residue class) entry of every pair in scan order, ``source``
+    those of the pairs whose target is a cell, and ``dest`` their flat (cell, target) entries."""
+    width = 2 * band + 1
+    cell = np.arange(m)[:, None]
+    target = cell - band + np.arange(width)
+    inside = ((target >= 0) & (target < m)).ravel()
+    scan = (cell * width + target % width).ravel()
+    return scan, scan[inside], (cell * m + target).ravel()[inside]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,11 +229,12 @@ class _PartitionRows:
     ``passing[r]`` tells whether row r is pseudo-regular. Passing row
     ``passed[p]`` has quotient entry (i, j) in ``means[p, i, j]``, for i, j
     below its ``cells``; failing row ``failing[f]`` has its first wide pair
-    in ``cell[f]`` and ``target[f]``, the weighted counts of its vertices
-    into that target in ``column[f]``, and the cell's vertices marked in
-    ``inside[f]``: its witness is read from them on request. Objects are
-    made only on request; ``means`` is read-only, so that the quotients
-    they hold can be views of it.
+    in ``cell[f]`` and ``target[f]``, and the cell's members marked in
+    ``inside[f]``. ``column[f]`` holds every vertex's weighted count into
+    the target's residue class (see :func:`_partition_rows`), which for a
+    member is its count into the target; only members' entries are read,
+    for the witness on request. Objects are made only on request; ``means``
+    is read-only, so that the quotients they hold can be views of it.
     """
 
     passing: np.ndarray
@@ -259,73 +277,60 @@ class _PartitionRows:
         return [PartitionWitness(*w) for w in zip(*(a.tolist() for a in fields))]
 
 
-def _partition_rows(adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray) -> _PartitionRows:
+def _partition_rows(
+    adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray, band: int
+) -> _PartitionRows:
     """:func:`pseudo_regular_check` on every row of a (R, n) block of label rows.
 
     The rows come in G runs of V = R / G, one run per graph: row r is a
     partition of the graph with boolean adjacency ``adjacency[r // V]`` and
-    Perron vector ``alpha[r // V]``, checked at threshold ``eps[r]``. Every
-    row is taken with the block's m cells, the most of any row, so that
-    the chunks' arrays join as they are. The rows are checked a chunk of
-    :func:`_row_chunks` at a time; a row's largest temporaries, its flows
-    and cell indicators, hold n * m entries.
+    Perron vector ``alpha[r // V]``, checked at threshold ``eps[r]``. No
+    edge joins labels more than β = ``band`` ≥ 1 apart (1 on a distance
+    partition), so a vertex's neighbors lie in the 2β + 1 cells around its
+    own, one per residue class mod 2β + 1. Each graph's counts into the
+    classes come from one product with the one-hot of its run's classes,
+    and every (row, cell)'s spreads and sums from one :func:`_cell_reduce`.
+    A row's largest arrays hold (2β + 1) * n entries.
     """
     R, n = labels.shape
-    V = R // len(adjacency)
+    G, V = len(adjacency), R // len(adjacency)
+    width = 2 * band + 1
     cells = labels.max(axis=1) + 1
     m = int(cells.max())
-    parts = []
-    for rows in _row_chunks(R, V, n * m):
-        runs = slice(rows.start // V, (rows.stop - 1) // V + 1)
-        parts.append(_partition_chunk(adjacency[runs], alpha[runs], labels[rows], eps[rows], m))
-    passing, means, cell, target, column, inside = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return _PartitionRows(
-        passing=passing,
-        cells=cells,
-        passed=passing.nonzero()[0],
-        means=means,
-        failing=(~passing).nonzero()[0],
-        cell=cell,
-        target=target,
-        column=column,
-        inside=inside,
-    )
-
-
-def _partition_chunk(
-    adjacency: np.ndarray, alpha: np.ndarray, labels: np.ndarray, eps: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_partition_rows` on one chunk of rows, with m cells a row.
-
-    Returns whether each row passes, the (P, m, m) means of the P passing
-    rows, and the first wide pair, its column and its cell of each failing
-    row, as :class:`_PartitionRows` holds them. The flows of all rows come
-    from one stacked matrix product, with each graph's matrix shared by its
-    run, their cell sums from one more product with the same cell
-    indicators, and their spreads from one segment reduction over (row,
-    cell).
-    """
-    R, n = labels.shape
-    G = len(adjacency)
-    cells = (labels[:, :, None] == np.arange(m)).astype(float).reshape(G, R // G, n, m)
-    flows = (adjacency * alpha[:, None, :])[:, None] @ cells
-    flows /= alpha[:, None, :, None]
-    flows = flows.reshape(R, n, m)
-    cells = cells.reshape(R, n, m)
+    classes = ((labels % width)[:, None, :] == np.arange(width)[:, None]).astype(float)
+    # The classes are the product's rows: with two or more of them, BLAS adds
+    # each vertex's neighbors in id order, which it may not with the vertices
+    # as the rows and fewer than five classes.
+    counts = (classes.reshape(G, V * width, n) @ (alpha[:, :, None] * adjacency)).reshape(G, V, width, n)
+    del classes
+    flows = np.empty((R, n, width))  # (row, vertex, class)
+    np.divide(counts.transpose(0, 1, 3, 2), alpha[:, None, :, None], out=flows.reshape(G, V, n, width))
+    del counts
     key = (labels + m * np.arange(R)[:, None]).ravel()  # (row, cell) as one label
-    means = cells.transpose(0, 2, 1) @ flows  # (row, cell, target), each cell's members added in id order
-    del cells
-    means /= np.maximum(np.bincount(key, minlength=R * m), 1).reshape(R, m, 1)
-    spread = _cell_spread(flows.reshape(R * n, m), key, R * m)
-    wide = spread.reshape(R, m * m) > eps[:, None]
-    del spread
+    spread, _, total = _cell_reduce(flows.reshape(R * n, width), key, R * m)
+    scan, source, dest = _band_pairs(m, band)
+    wide = spread.reshape(R, m * width)[:, scan] > eps[:, None]  # (row, cell, target) in scan order
     passing = ~wide.any(axis=1)
-
+    passed = passing.nonzero()[0]
+    means = np.zeros((len(passed), m, m))
+    means.reshape(-1, m * m)[:, dest] = total.reshape(R, m * width)[passed[:, None], source]
+    means /= np.maximum(np.bincount(key, minlength=R * m), 1).reshape(R, m, 1)[passed]
     # The first wide (cell, target) pair of each failing row, scanning cells
     # in order.
     rows = (~passing).nonzero()[0]
-    cell, target = np.divmod(wide[rows].argmax(axis=1), m)
-    return passing, means[passing], cell, target, flows[rows, :, target], labels[rows] == cell[:, None]
+    cell, offset = np.divmod(wide[rows].argmax(axis=1), width)
+    target = cell - band + offset
+    return _PartitionRows(
+        passing=passing,
+        cells=cells,
+        passed=passed,
+        means=means,
+        failing=rows,
+        cell=cell,
+        target=target,
+        column=flows[rows, :, target % width],
+        inside=labels[rows] == cell[:, None],
+    )
 
 
 def _require_order(g: Graph, dec: SpectralDecomposition) -> None:
@@ -348,7 +353,8 @@ def pseudo_regular_check(
     count into j. Returns the quotient matrix when the spread over each cell
     stays within tolerance, otherwise a witness for the first (cell, target)
     pair that disagrees, scanning cells in order and picking the
-    extreme-valued vertices (lowest id on ties).
+    extreme-valued vertices (lowest id on ties). Counts are taken on the
+    2β + 1 cells around each vertex's own, β the largest label gap of an edge.
     """
     _require_order(g, dec)
     labels = np.asarray(labels)
@@ -356,8 +362,10 @@ def pseudo_regular_check(
         raise ValueError("malformed partition: labels must be one non-negative integer per vertex")
     if not np.bincount(labels).all():
         raise ValueError("malformed partition: empty cell")
+    # At least 1: one class would make the product a matrix-vector one, which adds in another order.
+    band = int(np.abs(np.subtract.outer(labels, labels, dtype=np.int64))[g.adjacency].max(initial=1))
     eps = np.array([tol.scaled("eps_pdr", dec.spectral_radius)])
-    part = _partition_rows(g.adjacency[None], dec.perron[None], labels[None, :], eps)
+    part = _partition_rows(g.adjacency[None], dec.perron[None], labels[None, :], eps, band)
     row = np.zeros(1, dtype=np.int64)
     if part.passing[0]:
         return part.quotients(row)[0], None
@@ -512,14 +520,15 @@ def _vertex_block(
     adjacency matrices, hop distances and decompositions. Row r is vertex
     ``vertices[r % V]`` of graph r // V, for V = len(vertices). The loops
     over degree, Lanczos and the recurrence on unit columns, run once over
-    all rows; the partition check and the predistance contract run in row
-    chunks. A row's error is that of its local multiplicities, else that of
-    its predistance family, which counts at every row with ``verify`` and
-    otherwise only at an extremal row, the only kind at which
-    :func:`is_pdr_around` needs the family. With ``verify`` every row also
-    gets its predistance contract checked and its violations listed: the
-    two characterizations must agree, and where both hold the quotient
-    must pass the sum rule and match the recurrence.
+    the rows with a predistance family: every row with ``verify``, and
+    otherwise only the extremal rows, the only kind at which
+    :func:`is_pdr_around` needs the family (none when there are none). The
+    partition check runs once over all rows, and the predistance contract
+    in row chunks. A row's error is that of its local multiplicities, else
+    that of its family. With ``verify`` every row also gets its contract
+    checked and its violations listed: the two characterizations must
+    agree, and where both hold the quotient must pass the sum rule and
+    match the recurrence.
     """
     alpha = spectra.perron
     graphs, column = np.divmod(np.arange(len(adjacency) * len(vertices)), len(vertices))
@@ -527,34 +536,34 @@ def _vertex_block(
     lam0 = spectra.eigenvalues[graphs, 0]
     alpha_u = alpha[graphs, vertices]
     mults, support, weights, sizes, local_errors = _local_measures(spectra, graphs, vertices, tol)
-    block = _predistance_block(vertices, support, weights, sizes, alpha_u)
-
     dist = distances[graphs, vertices]
     ecc = dist.max(axis=1)
     eps = tol.scaled("eps_pdr", lam0)
-    extremal = ecc == block.sizes - 1
-    # The polynomial check runs at extremal rows with a family; the others
-    # run from a zero constant, as zero columns, so that all rows stay one
-    # rectangle.
-    ran = extremal & np.array([e is None for e in block.errors])
-    via_polynomials = ran
-    if ran.any():
-        p0 = block.vals[:, 0, 0] * ran
-        gap = _polynomial_gap(adjacency, alpha, dist, vertices, p0, block.prev, block.same, block.nxt)
-        via_polynomials = ran & (gap <= eps)
-
+    extremal = ecc == sizes - 1
+    # With verify every row gets its predistance family; otherwise only the
+    # extremal rows, the only ones whose verdict reads it.
+    family = slice(None) if verify else extremal.nonzero()[0]
+    errors = list(local_errors)
+    via_polynomials = np.zeros_like(extremal)
     violations: dict[int, list[Violation]] = {}
-    if verify:
-        degree = adjacency[graphs, vertices].sum(axis=1)
-        violations = _contract_violations(block, lam0, alpha_u**2, degree, tol.eps_orth)
-        recurrence_levels = block.level_triples() if via_polynomials.any() else None
-    errors = [
-        local or (family if verify or at_extremal else None)
-        for local, family, at_extremal in zip(local_errors, block.errors, extremal.tolist())
-    ]
-    # The families' values are done with: the partition check runs without them.
-    del block
-    part = _partition_rows(adjacency, alpha, dist, eps)
+    if verify or len(family):
+        block = _predistance_block(vertices[family], support[family], weights[family], sizes[family], alpha_u[family])
+        for r, error in zip(np.arange(len(vertices))[family].tolist(), block.errors):
+            errors[r] = errors[r] or error
+        # Rows other than extremal ones with a family run from a zero
+        # constant, as zero columns, so that all rows stay one rectangle.
+        ran = extremal[family] & np.array([e is None for e in block.errors], dtype=bool)
+        if ran.any():
+            args = dist[family], vertices[family], block.vals[:, 0, 0] * ran, block.prev, block.same, block.nxt
+            via_polynomials[family] = ran & (_polynomial_gap(adjacency, alpha, *args) <= eps[family])
+        if verify:
+            degree = adjacency[graphs, vertices].sum(axis=1)
+            violations = _contract_violations(block, lam0, alpha_u**2, degree, tol.eps_orth)
+            recurrence_levels = block.level_triples() if via_polynomials.any() else None
+        # The families' values are done with: the partition check runs without them.
+        del block
+    # Every edge of a distance partition joins levels at most one apart.
+    part = _partition_rows(adjacency, alpha, dist, eps, 1)
     if verify:
         disagree = part.passing != via_polynomials
         if disagree.any():
@@ -656,7 +665,7 @@ def _contract_violations(
     R, k, _ = vals.shape
     worst_orth = np.empty(R)
     norms2, res, ref = np.empty((3, R, k))
-    for rows in _row_chunks(R, 1, k * k):
+    for rows in _row_chunks(R, k * k):
         v, w = vals[rows], weights[rows]
         # Chunk-sized temporaries are reused in place to bound the peak memory.
         gram = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
@@ -801,16 +810,14 @@ def _level_counts(g: Graph, vertices: np.ndarray) -> np.ndarray:
 def _intersection_arrays(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry (r, i) holds the (down, stay, up) counts of level i around ``vertices[r]``, zero past
     its eccentricity, and entry r of the second array tells whether the counts are constant on
-    every level: one :func:`_cell_spread` over the (row, level) cells. Where a count differs on a
+    every level: one :func:`_cell_reduce` over the (row, level) cells. Where a count differs on a
     level, the entry holds its largest value there."""
     counts = _level_counts(g, vertices).reshape(-1, 3)
     dist = g.distances[vertices]
     R, L = len(dist), int(dist.max()) + 1
     key = (dist + L * np.arange(R)[:, None]).ravel()  # (row, level) as one label
-    levels = np.zeros((R * L, 3), dtype=np.int64)
-    np.maximum.at(levels, key, counts)
-    regular = ~_cell_spread(counts, key, R * L).reshape(R, L * 3).any(axis=1)
-    return levels.reshape(R, L, 3), regular
+    spread, levels, _ = _cell_reduce(counts, key, R * L)
+    return levels.reshape(R, L, 3), ~spread.reshape(R, L * 3).any(axis=1)
 
 
 def _intersection_array(levels: np.ndarray, part: int | None = None) -> IntersectionArray:
@@ -844,7 +851,7 @@ def walk_regularity(g: Graph, dec: SpectralDecomposition, tol: ToleranceConfig =
     mults = dec.local_multiplicity_matrix()
 
     def constant_on(labels: np.ndarray) -> bool:
-        return float(np.max(_cell_spread(mults, labels))) <= tol.eps_mult
+        return float(np.max(_cell_reduce(mults, labels)[0])) <= tol.eps_mult
 
     if constant_on(np.zeros(g.n, dtype=np.int64)):
         return WALK_REGULAR
@@ -1046,7 +1053,7 @@ def _verify_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> list[GraphChec
         return results
     if len(good) < len(adjacency):
         adjacency, A, distances, spectra = adjacency[good], A[good], distances[good], spectra.take(good)
-    powers, table = _spectral_identities(A, spectra, tol, [found[b] for b in good.tolist()])
+    powers, table, walk_bounds = _spectral_identities(A, spectra, tol, [found[b] for b in good.tolist()])
 
     # The vertex pass over every (graph, vertex) row. A graph leaves the
     # stack for its rows' violations when a row of it has a violation or an
@@ -1078,11 +1085,10 @@ def _verify_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> list[GraphChec
                     found[b].append(Violation("classification_internal", str(exc)))
                 else:
                     us, vs = np.nonzero(np.triu(g.adjacency, 1))
-                    lengths = range(_WALK_CHECK_MAX_LENGTH + 1)
+                    lengths = np.arange(_WALK_CHECK_MAX_LENGTH + 1)
                     res = walk_formula_check(g, dec, us[:, None], vs[:, None], lengths, powers[:, j], table=table[j])
                     worst = np.maximum(*res)  # (edge, length)
-                    bounds = [tol.scaled("eps_walk", dec.spectral_radius, L) for L in lengths]
-                    for e, length in np.argwhere(worst > bounds):
+                    for e, length in np.argwhere(worst > walk_bounds[j]):
                         detail = f"edge ({us[e]}, {vs[e]}), length {length}: residual {worst[e, length]:.3e}"
                         found[b].append(Violation("walk_formula", detail))
         results[b] = GraphCheckResult(names[b], verdict, all_pdr, tuple(found[b]))
@@ -1091,14 +1097,14 @@ def _verify_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> list[GraphChec
 
 def _spectral_identities(
     adjacency: np.ndarray, spectra: _SpectralStack, tol: ToleranceConfig, found: list[list[Violation]]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The whole-graph identities of every graph of a stack of 0/1 float
     adjacency matrices; graph j's violations go to ``found[j]``.
 
-    Returns the exact adjacency powers up to the walk-check length, as the
-    stack of :func:`~pdrkit.spectral._power_stack`, and the spectral
-    closed-walk table one length further, for the adjacent-pair walk
-    formulas.
+    Returns, for the adjacent-pair walk formulas, the exact adjacency powers
+    up to the walk-check length, as :func:`~pdrkit.spectral._power_stack`
+    stacks them, the spectral closed-walk table one length further, and
+    the eps_walk bound of every (graph, length) of the closed-walk identity.
     """
     B, n, _ = adjacency.shape
     lam0 = spectra.eigenvalues[:, 0]
@@ -1143,4 +1149,4 @@ def _spectral_identities(
                 found[j].append(Violation("weighted_degree", f"residual {wdeg_res[j]:.3e}"))
             if idem_res[j] > tol.eps_num:
                 found[j].append(Violation("idempotents", f"residual {idem_res[j]:.3e}"))
-    return powers, table
+    return powers, table, bounds

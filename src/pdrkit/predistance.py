@@ -160,7 +160,7 @@ def _predistance_block(
     # Each degree's recurrence coefficient same_i = <x q_i, q_i>, and the
     # squared norm of x q_i, a chunk of rows at a time.
     same, refs = np.zeros((2, B, k))
-    for rows in _row_chunks(B, 1, k * k):
+    for rows in _row_chunks(B, k * k):
         square = np.square(q[rows])
         same[rows] = (square @ support[rows, :, None])[:, :, 0]
         refs[rows] = (square @ np.square(support[rows])[:, :, None])[:, :, 0]

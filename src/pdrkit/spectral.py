@@ -31,18 +31,11 @@ class GroupingAmbiguityError(NumericalError):
     """An eigenvalue gap sits too close to the grouping threshold to decide."""
 
 
-def _row_chunks(R: int, V: int, per_row: int) -> list[slice]:
-    """Consecutive slices of R rows that come in runs of V per graph, where
-    the largest temporary of a row holds ``per_row`` float64 entries.
-
-    A slice holds at most max(1, _BLOCK_ENTRIES // per_row) rows: whole runs
-    while a run fits, else consecutive rows of one run.
-    """
+def _row_chunks(R: int, per_row: int) -> list[slice]:
+    """Consecutive slices of max(1, _BLOCK_ENTRIES // per_row) of R rows, whose
+    largest temporary holds ``per_row`` float64 entries a row."""
     size = max(1, _BLOCK_ENTRIES // per_row)
-    if size >= V:
-        step = size // V * V
-        return [slice(lo, min(R, lo + step)) for lo in range(0, R, step)]
-    return [slice(lo, min(run + V, lo + size)) for run in range(0, R, V) for lo in range(run, run + V, size)]
+    return [slice(lo, min(R, lo + size)) for lo in range(0, R, size)]
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,7 @@ def _decompose_stack(adjacency: np.ndarray, tol: ToleranceConfig) -> _SpectralSt
     multiplicities[present] = counts
     idempotents = np.zeros((B * k, n, n))
     place = present.ravel().nonzero()[0]
-    for chunk in _row_chunks(len(first), 1, 4 * n * n):
+    for chunk in _row_chunks(len(first), 4 * n * n):
         V = rows[members[chunk]]
         E = V.transpose(0, 2, 1) @ V
         del V

@@ -39,8 +39,8 @@ SPECTRUM_VERTEX_SHA256 = "41cbc83b66aa682eba5f5e11342a35940e937b02ca4d05992225ac
 
 # sha256 of the stdout of `pdrkit analyze --named S`, concatenated over S in
 # ANALYZE_LARGE_GRAPHS, in that order. It pins what the n <= 5 hash never
-# reaches: partition checks taken in several row chunks and long lists of
-# reals, up to n = 62 and local degree 61.
+# reaches: partition checks over many cells and long lists of reals, up to
+# n = 62 and local degree 61.
 ANALYZE_LARGE_GRAPHS = (
     "petersen", "complete:30", "complete_bipartite:10,20", "hypercube:5", "cycle:27", "cycle:40", "path:22",
     "path:29", "path:40", "cycle:62", "path:62",

@@ -2,6 +2,7 @@
 classification, and the whole-graph invariant suite."""
 
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -137,17 +138,27 @@ def test_quotient_rows_sum_to_radius():
 def reference_partition_check(g, dec, labels, eps):
     # Plain loops, one cell at a time: the first (cell, target) pair whose
     # spread exceeds eps, its extreme vertices (lowest id on ties) in id
-    # order, else the quotient of cell-by-cell means.
+    # order, else the quotient of cell-by-cell means. Every sum adds its
+    # terms one at a time in id order: a vertex's neighbors for its weighted
+    # counts, a cell's members for their mean.
     alpha = dec.perron
     cells = [np.flatnonzero(labels == i) for i in range(labels.max() + 1)]
-    flows = (g.adjacency * alpha[None, :]) @ (labels[:, None] == np.arange(len(cells))).astype(float) / alpha[:, None]
+    flows = np.zeros((g.n, len(cells)))
+    for v in range(g.n):
+        for w in np.flatnonzero(g.adjacency[v]):
+            flows[v, labels[w]] += alpha[w]
+    flows /= alpha[:, None]
     for i, cell in enumerate(cells):
         for j in range(len(cells)):
             col = flows[cell, j]
             if col.max() - col.min() > eps:
                 a, b = sorted((int(col.argmin()), int(col.argmax())))
                 return None, (i, j, int(cell[a]), int(cell[b]), float(col[a]), float(col[b]))
-    return np.stack([flows[cell].mean(axis=0) for cell in cells]), None
+    means = np.zeros((len(cells), len(cells)))
+    for i, cell in enumerate(cells):
+        for v in cell:
+            means[i] += flows[v]
+    return means / np.array([len(cell) for cell in cells])[:, None], None
 
 
 def reference_triples(entries):
@@ -163,21 +174,24 @@ def reference_triples(entries):
 
 
 def test_partition_check_matches_loop_reference():
-    # Distance partitions of every n <= 5 graph and of large-cell catalog
-    # graphs, plus seeded random label rows: the same witnesses, quotients
-    # equal to the last bit, and the same level triples, or a ValueError
-    # where a partition that is not a distance partition has an off-band
-    # quotient entry.
+    # Distance partitions of every n <= 5 graph, of large-cell catalog graphs
+    # and of the deepest ones, plus one-cell rows (no edge between cells)
+    # and seeded random label rows of up to 6 cells, whose edges join cells
+    # up to 5 apart: the same witnesses, quotients equal to the last bit,
+    # and the same level triples, or a ValueError where a partition that is
+    # not a distance partition has an off-band quotient entry.
     rng = np.random.default_rng(7)
-    off_band = 0
+    off_band, gaps = 0, set()
     graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
     graphs += [generate_named(*s) for s in [("complete", 30), ("complete_bipartite", 10, 20), ("hypercube", 5)]]
+    graphs += [generate_named(*s) for s in [("path", 62), ("cycle", 62), ("hypercube", 6)]]
     for g in graphs:
         dec = decompose(g)
         eps = DEFAULT_TOL.scaled("eps_pdr", dec.spectral_radius)
-        rows = [distances_from(g, u) for u in range(g.n)]
-        rows += [np.unique(rng.integers(0, 3, g.n), return_inverse=True)[1] for _ in range(2)]
+        rows = [distances_from(g, u) for u in range(g.n)] + [np.zeros(g.n, dtype=np.int64)]
+        rows += [np.unique(rng.integers(0, rng.integers(2, 7), g.n), return_inverse=True)[1] for _ in range(3)]
         for labels in rows:
+            gaps.add(int(np.abs(labels[:, None] - labels)[g.adjacency].max(initial=0)))
             quotient, witness = pseudo_regular_check(g, dec, labels)
             want_entries, want_witness = reference_partition_check(g, dec, labels, eps)
             if want_witness is None:
@@ -194,7 +208,7 @@ def test_partition_check_matches_loop_reference():
                 assert quotient is None
                 got = (witness.cell, witness.target, witness.vertex_a, witness.vertex_b)
                 assert got + (witness.value_a, witness.value_b) == want_witness
-    assert off_band > 0
+    assert off_band > 0 and gaps == {0, 1, 2, 3, 4, 5}
 
 
 # --- per-vertex reports ---------------------------------------------------------
@@ -743,6 +757,36 @@ def test_verify_graph_tags_numerical_error_after_decompose(monkeypatch):
     r = verify_graph(generate_named("petersen"))
     assert r.verdict is None and not r.all_pdr
     assert [(v.check, v.detail) for v in r.violations] == [("numerical", "rank loss at vertex 0")]
+
+
+def test_walk_formulas_share_the_closed_walk_bounds(monkeypatch):
+    # The adjacent-pair walk formulas are judged against the same eps_walk
+    # bound of each (graph, length) as the closed-walk identity, taken from
+    # the spectral radius as an array. On K6 (spectral radius
+    # 4.999999999999997) numpy's array power of length 6 can be one ulp
+    # below the power of a Python float, so a residual one ulp past the
+    # array bound could slip through the adjacent-pair check at that length.
+    from pdrkit import parse_graph6, pdr
+
+    g = parse_graph6("E~~w")
+    lam0 = np.array([decompose(g).spectral_radius])
+    lengths = np.arange(7)
+    bounds = DEFAULT_TOL.scaled("eps_walk", lam0[:, None], lengths)[0]
+
+    def residuals_at(offset):
+        def fake(g, dec, u, v, length, powers=None, *, table=None):
+            length = np.broadcast_arrays(u, v, length)[2]
+            return np.nextafter(bounds, offset * np.inf)[length] if offset else bounds[length], np.zeros(length.shape)
+
+        return fake
+
+    edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(g.adjacency, 1)))}
+    for offset, flagged in ((0, set()), (-1, set()), (1, {(*e, L) for e in edges for L in range(7)})):
+        monkeypatch.setattr(pdr, "walk_formula_check", residuals_at(offset))
+        r = verify_graph(g)
+        assert r.verdict == VERDICT_DISTANCE_REGULAR and all(v.check == "walk_formula" for v in r.violations)
+        got = {tuple(map(int, re.match(r"edge \((\d+), (\d+)\), length (\d+):", v.detail).groups())) for v in r.violations}
+        assert got == flagged
 
 
 def test_verify_graph_tags_a_failed_classification_and_skips_the_walk_formulas(monkeypatch):

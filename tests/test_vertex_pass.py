@@ -275,58 +275,76 @@ def test_verify_graph_matches_per_vertex_loop(monkeypatch, spec):
 
 
 def test_blocks_stay_under_the_entry_budget(monkeypatch):
-    # The partition check and the predistance contract take their rows in
-    # chunks sized by the entries one row allocates: on cycle:40 a row of the
-    # partition check holds n * m = 40 * 21 entries, so chunks have 9
-    # vertices, 9 * 40 * 21 = 7,560 entries, and every chunk of the contract
-    # keeps its (rows, k, k) products in the budget too. The loops over
-    # degree see every row at once.
+    # The predistance contract takes its rows in chunks sized by the entries
+    # one row allocates, and every chunk keeps its (rows, k, k) products in
+    # the budget; the partition check works on the cells around each
+    # vertex's own and takes no chunks. The loops over degree see every row
+    # at once.
     chunks, partition = [], []
-    row_chunks, partition_chunk = pdr._row_chunks, pdr._partition_chunk
+    row_chunks, partition_rows = pdr._row_chunks, pdr._partition_rows
 
-    def record_chunks(R, V, per_row):
-        out = row_chunks(R, V, per_row)
-        chunks.append((R, V, per_row, [(s.start, s.stop) for s in out]))
+    def record_chunks(R, per_row):
+        out = row_chunks(R, per_row)
+        chunks.append((R, per_row, [(s.start, s.stop) for s in out]))
         return out
 
-    def record_partition(adjacency, alpha, labels, eps, m):
-        partition.append((len(adjacency), *labels.shape, m))
-        return partition_chunk(adjacency, alpha, labels, eps, m)
+    def record_partition(*args):
+        before = len(chunks)
+        out = partition_rows(*args)
+        partition.append(len(chunks) - before)
+        return out
 
     monkeypatch.setattr(pdr, "_row_chunks", record_chunks)
-    monkeypatch.setattr(pdr, "_partition_chunk", record_partition)
+    monkeypatch.setattr(pdr, "_partition_rows", record_partition)
     g = generate_named("cycle", 40)
     pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
-    (R_contract, one, kk, contract), (R, V, nm, part) = chunks
+    ((R_contract, kk, contract),) = chunks
     k = int(np.sqrt(kk))
-    assert (R, V, nm) == (40, 40, 40 * 21) and part == [(0, 9), (9, 18), (18, 27), (27, 36), (36, 40)]
-    assert (R_contract, one) == (40, 1) and kk == k * k and 1 < k <= 40
+    assert R_contract == 40 and kk == k * k and 1 < k <= 40
     assert [lo for lo, _ in contract] == [0] + [hi for _, hi in contract[:-1]] and contract[-1][1] == 40
     assert all((hi - lo) * k * k <= spectral._BLOCK_ENTRIES for lo, hi in contract)
-    assert [rows[:3] for rows in partition] == [(1, 9, 40)] * 4 + [(1, 4, 40)]
-    assert all(rows * n * m <= spectral._BLOCK_ENTRIES for _, rows, n, m in partition)
+    assert partition == [0]
 
-    # A graph past the budget's reach splits a run; a stack of small graphs
-    # takes whole graphs per chunk.
-    assert pdr._row_chunks(3 * 100, 100, 100 * 100) == [slice(lo, lo + 1) for lo in range(300)]
-    assert pdr._row_chunks(303 * 6, 6, 6 * 6) == [slice(lo, min(1818, lo + 222)) for lo in range(0, 1818, 222)]
+    # A row past the budget is a chunk alone; small rows fill chunks up to it.
+    assert pdr._row_chunks(3 * 100, 100 * 100) == [slice(lo, lo + 1) for lo in range(300)]
+    assert pdr._row_chunks(303 * 6, 6 * 6) == [slice(lo, min(1818, lo + 227)) for lo in range(0, 1818, 227)]
     chunks.clear()
     g = generate_named("complete", 6)
     pdr._vertex_pass(g, decompose(g), DEFAULT_TOL, [])
-    assert [c[3] for c in chunks] == [[(0, 6)], [(0, 6)]]
+    assert [c[2] for c in chunks] == [[(0, 6)]]
 
-    # complete:30 has two cells around every vertex: its partition check fits
-    # one chunk, and the integer level counts of classify take no chunks.
+    # On complete:30 only the contract takes chunks, and the integer level
+    # counts of classify take none.
     chunks.clear()
     partition.clear()
     g = generate_named("complete", 30)
     dec = decompose(g)
     reports = pdr._vertex_pass(g, dec, DEFAULT_TOL, [])
-    assert [c[2:] for c in chunks[1:]] == [(30 * 2, [(0, 30)])] and partition == [(1, 30, 30, 2)]
-    assert all(rows * n * m <= spectral._BLOCK_ENTRIES for _, rows, n, m in partition)
+    assert len(chunks) == 1 and partition == [0]
     chunks.clear()
     assert classify(g, dec=dec, reports=reports).verdict == "distance_regular"
     assert chunks == []
+
+
+def test_partition_check_holds_a_few_band_arrays():
+    # Every row of path:150, whose end vertices have 150 cells around them:
+    # the partition check's arrays hold (2 * 1 + 1) * n entries a row, so its
+    # peak stays under eight of them, where one (rows, n, cells) array would
+    # take 50 times that.
+    import tracemalloc
+
+    g = generate_named("path", 150)
+    dec = decompose(g)
+    args = (g.adjacency[None], dec.perron[None], g.distances, np.full(g.n, DEFAULT_TOL.eps_pdr), 1)
+    pdr._partition_rows(*args)
+    tracemalloc.start()
+    try:
+        part = pdr._partition_rows(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.passed.tolist() == [0, 149]
+    assert peak <= 8 * (3 * g.n * g.n) * 8
 
 
 @pytest.mark.parametrize("case", ["verify_graph cycle:40", "_vertex_pass path:40", "verify_graphs n=6 stack"])
@@ -515,3 +533,24 @@ def test_verify_graph_ends_with_the_numerical_error_after_earlier_vertices_viola
         Violation("numerical", "negative local multiplicity beyond clamp at vertex 1"),
     )
     assert result.verdict is None and not result.all_pdr
+
+
+def test_only_extremal_rows_get_a_predistance_family(monkeypatch):
+    # Outside verify_graph only an extremal vertex's verdict reads its
+    # family: on path:40 the two end vertices, and at an inner vertex none.
+    handed = []
+    build = pdr._predistance_block
+
+    def record(vertices, *args):
+        handed.append(vertices.tolist())
+        return build(vertices, *args)
+
+    monkeypatch.setattr(pdr, "_predistance_block", record)
+    g = generate_named("path", 40)
+    dec = decompose(g)
+    reports = pdr._vertex_pass(g, dec, DEFAULT_TOL)
+    assert handed == [[0, 39]]
+    assert [r.vertex for r in reports if r.is_pdr] == [0, 39]
+    handed.clear()
+    report = is_pdr_around(g, dec, 20)
+    assert handed == [] and not report.is_pdr and not report.extremal
